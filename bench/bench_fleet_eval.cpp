@@ -29,7 +29,6 @@
 #include "core/policy_compiler.h"
 #include "core/policy_image.h"
 #include "host_note.h"
-#include "mac/batch_probe.h"
 #include "mac/stage_counters.h"
 #include "sim/rng.h"
 
@@ -238,8 +237,7 @@ int main() {
   // Machine-readable record (BENCH_fleet_eval.json).
   std::printf("JSON: {\"bench\":\"fleet_eval\",\"unit\":\"ns/decision\",");
   benchhost::print_host_json();
-  std::printf(",\"probe_backend\":\"%s\",",
-              mac::probe::backend_name(mac::probe::active_backend()));
+  std::printf(",");
   if (mac::stage_counters_enabled()) {
     std::printf("\"stage_counters\":\"enabled\",");
   } else {

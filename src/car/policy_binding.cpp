@@ -189,18 +189,21 @@ can::WireBindingTable BindingCompiler::build_wire_table(
   builder.pass_standard(msg::kFailSafeTrigger);
   builder.pass_standard_range(nm::kNmBase, nm::kNmBase | nm::kMaxAddress);
   if (mode == CarMode::kRemoteDiagnostic) {
-    // Diagnostic payloads exceed one frame; both ids carry ISO-TP. Bind
-    // them to the connectivity entry point (the paper's remote-diag
-    // commander) against the EV ECU — the asset under diagnosis, which
-    // the remote-diagnostic rules grant that entry point read AND write
-    // on (requests command the ECU, responses report its state).
+    // car::diag frames are single 4-byte frames ([target, service, d0,
+    // d1]), not ISO-TP: binding them as transport flows would read the
+    // target address as a PCI byte and drop most of them as malformed.
+    // Bind both ids to the connectivity entry point (the paper's
+    // remote-diag commander) against the EV ECU — the asset under
+    // diagnosis, which the remote-diagnostic rules grant that entry
+    // point read AND write on (requests command the ECU, responses
+    // report its state).
     const mac::Sid diag_subject = sids_->intern(entry::kConnectivity);
     const mac::Sid diag_object = sids_->intern(asset::kEvEcu);
     const std::array<mac::Sid, 1> diag_subjects{diag_subject};
     builder.bind_standard(msg::kDiagRequest, diag_subjects, diag_object,
-                          core::AccessType::kWrite, /*isotp=*/true);
+                          core::AccessType::kWrite);
     builder.bind_standard(msg::kDiagResponse, diag_subjects, diag_object,
-                          core::AccessType::kRead, /*isotp=*/true);
+                          core::AccessType::kRead);
   }
 
   // Candidate-subject pools. The node's own entry points answer READ

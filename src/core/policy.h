@@ -216,14 +216,16 @@ class PolicySet {
   /// Lazily compiled SID-space form. Immutable once built, so copies of
   /// this set may share it; reset by any mutation.
   mutable std::shared_ptr<const CompiledPolicyImage> image_;
-#ifndef NDEBUG
   /// DESIGN.md "Concurrency model": the lazy image compile writes
   /// through mutable members and is single-threaded; the first COMPILING
   /// evaluation pins the thread so concurrent compile misuse fails loudly
   /// instead of corrupting the image (const evaluation over a built image
   /// is thread-safe and skips the pin). Copies and moves start unpinned —
   /// a copy is a distinct object with its own (possibly different)
-  /// owning thread.
+  /// owning thread. The member exists in every build (only debug builds
+  /// set and check it) so the class layout does not depend on NDEBUG: a
+  /// consumer compiled with the opposite setting to the library must
+  /// agree with it on sizeof(PolicySet) and every member offset.
   struct ThreadPin {
     std::thread::id id{};
     ThreadPin() noexcept = default;
@@ -234,7 +236,6 @@ class PolicySet {
     }
   };
   mutable ThreadPin eval_pin_;
-#endif
 };
 
 /// Abstract policy decision point. Implemented by the software MAC engine

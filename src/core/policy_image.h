@@ -12,9 +12,9 @@
 //
 // Storage comes in two modes behind one query API (DESIGN.md "Zero-copy
 // image views"):
-//  - OWNED: the compile, v1-blob-load and delta-apply paths fill the
+//  - OWNED: the compile, big-endian blob-load and delta-apply paths fill the
 //    *_store_ vectors; the evaluation views alias them.
-//  - BORROWED: the v2 zero-copy blob loader points the views straight
+//  - BORROWED: the zero-copy blob loader points the views straight
 //    into the validated blob buffer (entries, index, mode table, meta
 //    arena all used in place; a shared PolicyBuffer pins the bytes).
 //    Audit Metas are then materialised LAZILY, at most once per rule, by
@@ -129,7 +129,7 @@ class CompiledPolicyImage {
   /// processed in stack-resident chunks, each chunk running a resolve
   /// wave (pack pair keys + mode bits, consult a call-local
   /// (pair, mode-bits)→best memo), a probe wave (unresolved keys walk
-  /// the sealed index through the active probe backend, origins
+  /// the sealed index through probe::find_slot, origins
   /// prefetched ahead), and a copy wave (Decision materialisation).
   /// Decisions are byte-identical to per-element evaluate() — the memo
   /// is exact because best-entry selection never reads the access type.
@@ -354,8 +354,8 @@ class CompiledPolicyImage {
   [[nodiscard]] const Decision& evaluate_impl(const SidRequest& request,
                                               std::uint64_t mode_bits) const;
 
-  /// Sealed-index span for one probe key, walked through the active
-  /// probe backend. Bounds-guarded: an absent key or a corrupt span
+  /// Sealed-index span for one probe key, walked with
+  /// probe::find_slot. Bounds-guarded: an absent key or a corrupt span
   /// (offset/count outside the flat index) answers a count-0 span, so a
   /// sealed-trust blob fails CLOSED instead of walking out of bounds.
   [[nodiscard]] SlotSpan index_span(std::uint64_t key) const noexcept;
@@ -392,7 +392,7 @@ class CompiledPolicyImage {
   void seal_index();
 
   /// Points the evaluation views at the owned stores. Every owned-mode
-  /// construction path (build, v1 load, delta apply, deep copy) ends
+  /// construction path (build, big-endian load, delta apply, deep copy) ends
   /// with this.
   void adopt_owned_storage() noexcept;
 
@@ -402,7 +402,7 @@ class CompiledPolicyImage {
   std::shared_ptr<mac::SidTable> sids_;
   mac::Sid wildcard_sid_ = mac::kNullSid;
 
-  // -- owned stores (compile / v1 load / delta apply; empty when the
+  // -- owned stores (compile / big-endian load / delta apply; empty when the
   //    image borrows from a blob buffer) ---------------------------------
   std::vector<Entry> entries_store_;
   std::vector<Meta> metas_;

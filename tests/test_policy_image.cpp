@@ -17,7 +17,6 @@
 #include "core/policy.h"
 #include "core/policy_compiler.h"
 #include "core/policy_image.h"
-#include "mac/batch_probe.h"
 #include "mac/mac_engine.h"
 #include "mac/te_policy.h"
 #include "sim/rng.h"
@@ -266,23 +265,15 @@ TEST(PolicyImageBatch, ShuffledBatchByteIdenticalToScalar) {
                std::invalid_argument);
 }
 
-// ------------------------------- probe backends: SIMD/SWAR/scalar parity
-
-/// Restores the startup probe backend when a test body returns or fails
-/// mid-sweep, so backend overrides never leak into other tests.
-struct BackendGuard {
-  mac::probe::Backend previous = mac::probe::active_backend();
-  ~BackendGuard() { (void)mac::probe::set_probe_backend(previous); }
-};
+// ------------------------- batched probe paths: parity with scalar paths
 
 TEST(ProbeBackends, ShuffledBatchByteIdenticalAcrossAllBackends) {
-  BackendGuard guard;
   sim::Rng rng(4242);
   const PolicySet set = fuzz_policy_set(rng, 40);
   const CompiledPolicyImage image = CompiledPolicyImage::from_policy_set(set);
 
-  // Keep the string and SID forms co-shuffled so every backend's batch
-  // output can be checked against the linear-scan oracle directly.
+  // Keep the string and SID forms co-shuffled so the batch output can be
+  // checked against the linear-scan oracle directly.
   std::vector<AccessRequest> string_requests = fuzz_requests(rng, 500);
   for (std::size_t i = string_requests.size() - 1; i > 0; --i) {
     std::swap(string_requests[i], string_requests[rng.uniform(0, i)]);
@@ -293,34 +284,19 @@ TEST(ProbeBackends, ShuffledBatchByteIdenticalAcrossAllBackends) {
     requests.push_back(image.resolve(request));
   }
 
-  ASSERT_FALSE(mac::probe::available_backends().empty());
-  std::vector<Decision> reference;
-  for (const mac::probe::Backend backend : mac::probe::available_backends()) {
-    (void)mac::probe::set_probe_backend(backend);
-    ASSERT_EQ(mac::probe::active_backend(), backend);
-    const std::string name = mac::probe::backend_name(backend);
-
-    std::vector<Decision> out(requests.size());
-    image.evaluate_batch(requests, out);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      // Byte-identical to the string oracle AND to every other backend
-      // (the first backend's output is the cross-backend reference).
-      expect_same_decision(out[i], oracle(set, string_requests[i]),
-                           name + " vs oracle, element " + std::to_string(i));
-      expect_same_decision(out[i], image.evaluate(requests[i]),
-                           name + " vs scalar evaluate, element " +
-                               std::to_string(i));
-      if (reference.empty()) continue;
-      expect_same_decision(out[i], reference[i],
-                           name + " vs first backend, element " +
-                               std::to_string(i));
-    }
-    if (reference.empty()) reference = std::move(out);
+  std::vector<Decision> out(requests.size());
+  image.evaluate_batch(requests, out);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    // Byte-identical to the string oracle AND to the scalar path.
+    expect_same_decision(out[i], oracle(set, string_requests[i]),
+                         "batch vs oracle, element " + std::to_string(i));
+    expect_same_decision(out[i], image.evaluate(requests[i]),
+                         "batch vs scalar evaluate, element " +
+                             std::to_string(i));
   }
 }
 
 TEST(ProbeBackends, PolicyDbLookupBatchMatchesScalarLookupAcrossBackends) {
-  BackendGuard guard;
   // A policy database large enough that the flat table grows a few times
   // and carries real probe chains.
   mac::PolicyDbBuilder builder;
@@ -353,20 +329,16 @@ TEST(ProbeBackends, PolicyDbLookupBatchMatchesScalarLookupAcrossBackends) {
     if (rng.chance(0.2)) keys.push_back(keys.back());  // duplicate
   }
 
-  for (const mac::probe::Backend backend : mac::probe::available_backends()) {
-    (void)mac::probe::set_probe_backend(backend);
-    std::vector<mac::AccessVector> out(keys.size());
-    db.lookup_batch(keys, out);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const mac::AvKeyParts parts = mac::unpack_av_key(keys[i]);
-      EXPECT_EQ(out[i], db.lookup(parts.source, parts.target, parts.cls))
-          << mac::probe::backend_name(backend) << " key " << i;
-    }
+  std::vector<mac::AccessVector> out(keys.size());
+  db.lookup_batch(keys, out);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const mac::AvKeyParts parts = mac::unpack_av_key(keys[i]);
+    EXPECT_EQ(out[i], db.lookup(parts.source, parts.target, parts.cls))
+        << "key " << i;
   }
 }
 
 TEST(ProbeBackends, VerdictOnlyBatchMatchesDecisionBatchAcrossBackends) {
-  BackendGuard guard;
   sim::Rng rng(7171);
   const PolicySet set = fuzz_policy_set(rng, 40);
   const CompiledPolicyImage image = CompiledPolicyImage::from_policy_set(set);
@@ -374,16 +346,12 @@ TEST(ProbeBackends, VerdictOnlyBatchMatchesDecisionBatchAcrossBackends) {
   for (const AccessRequest& request : fuzz_requests(rng, 700)) {
     requests.push_back(image.resolve(request));
   }
-  for (const mac::probe::Backend backend : mac::probe::available_backends()) {
-    (void)mac::probe::set_probe_backend(backend);
-    std::vector<Decision> decisions(requests.size());
-    std::vector<std::uint8_t> flags(requests.size());
-    image.evaluate_batch(requests, decisions);
-    image.evaluate_batch_allowed(requests, flags);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(flags[i] != 0, decisions[i].allowed)
-          << mac::probe::backend_name(backend) << " element " << i;
-    }
+  std::vector<Decision> decisions(requests.size());
+  std::vector<std::uint8_t> flags(requests.size());
+  image.evaluate_batch(requests, decisions);
+  image.evaluate_batch_allowed(requests, flags);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(flags[i] != 0, decisions[i].allowed) << "element " << i;
   }
   std::vector<std::uint8_t> wrong_size(requests.size() - 1);
   EXPECT_THROW(image.evaluate_batch_allowed(requests, wrong_size),

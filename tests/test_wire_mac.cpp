@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "can/wire_mac.h"
 #include "car/base_policy.h"
+#include "car/diagnostics.h"
+#include "car/ids.h"
 #include "car/policy_binding.h"
 #include "car/table1.h"
 #include "mac/mac_engine.h"
@@ -454,6 +457,47 @@ TEST(WireTable, StructuralIdsAlwaysPass) {
   }
   EXPECT_FALSE(mac.admit(make_frame(0x41F, {0}), sim::SimTime{}));
   EXPECT_FALSE(mac.admit(make_frame(0x440, {0}), sim::SimTime{}));
+}
+
+TEST(WireTable, DiagFramesPassWhereTheHpeAdmitsThem) {
+  // car::diag frames are single 4-byte frames whose first byte is the
+  // target address. Every request/response pair, for every target, must
+  // pass the wire MAC wherever the node's HPE read list admits it (the
+  // HPE runs first at controller ingress) — none may drop as a malformed
+  // transport frame.
+  const core::PolicySet policy = car::full_policy(car::connected_car_threat_model());
+  const auto image = policy.image_ptr();
+  car::BindingCompiler compiler(*image);
+  sim::Rng rng(7);
+  std::vector<Frame> frames;
+  for (const car::NodeBinding& target : car::node_bindings()) {
+    const std::uint8_t address = car::diag_address_of(target.node);
+    car::diag::DiagResponder responder(
+        address, [](std::uint8_t) { return std::optional<std::uint8_t>(1); },
+        [](std::uint8_t, std::uint8_t) { return true; }, [] {});
+    const Frame request = car::diag::make_request(
+        address, car::diag::kReadDataById, car::diag::kDidActive);
+    const std::optional<Frame> response = responder.handle(request, rng);
+    ASSERT_TRUE(response.has_value()) << target.node;
+    frames.push_back(request);
+    frames.push_back(*response);
+  }
+  for (const car::NodeBinding& listener : car::node_bindings()) {
+    car::BindingCompiler fresh(*image);
+    WireMac mac(fresh.build_wire_table(listener.node,
+                                       car::CarMode::kRemoteDiagnostic),
+                *image);
+    const hpe::ListPair lists =
+        compiler.build_lists(listener.node, car::CarMode::kRemoteDiagnostic);
+    ASSERT_TRUE(lists.read.contains(CanId::standard(car::msg::kDiagRequest)));
+    for (const Frame& frame : frames) {
+      if (!lists.read.contains(frame.id())) continue;
+      EXPECT_TRUE(mac.admit(frame, sim::SimTime{}))
+          << listener.node << " id 0x" << std::hex << frame.id().raw()
+          << " target " << static_cast<int>(frame.data()[0]);
+    }
+    EXPECT_EQ(mac.stats().isotp_errors, 0u) << listener.node;
+  }
 }
 
 // -- concurrency torture (run under TSan in the wire-mac CI leg) ------------
