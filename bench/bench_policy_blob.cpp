@@ -14,14 +14,21 @@
 //
 // Sizes: the 36-rule connected-car policy plus 1k/10k/50k synthetic
 // policies (core/policy_synth.h, deterministic). Batched medians as in
-// the other benches. Exit status gates decision parity AND the flat
-// ratio (<= 3.0) — the CI bench smoke runs this binary.
+// the other benches. A decision column prices the hot path at each size:
+// batched verdict-only ns per decision over distinct requests (minimum
+// of 30 runs). Exit status gates decision parity, the flat ratio
+// (<= 3.0) AND the 50k/1k decision ratio (<= 3.0) — the CI bench smoke
+// runs this binary.
 // A JSON record of the run is printed for BENCH_policy_blob.json.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "car/base_policy.h"
@@ -33,6 +40,7 @@
 #include "core/policy_image.h"
 #include "core/policy_synth.h"
 #include "host_note.h"
+#include "sim/rng.h"
 
 using namespace psme;
 
@@ -72,6 +80,7 @@ struct SizeRow {
   double v2_attach_us = 0.0;      // sealed-store attach (buffer)
   double v2_file_attach_us = 0.0; // sealed-store attach (mmap'd file)
   double first_decision_us = 0.0; // first decision after a sealed attach
+  double decide_ns = 0.0;         // batched verdict-only ns per decision
   bool parity = true;
 };
 
@@ -91,6 +100,40 @@ template <class BootFn>
     batch_means.push_back(total_us / iters);
   }
   return median(batch_means);
+}
+
+/// Distinct requests for the decision column: every fleet check in every
+/// car mode for the car policy; 4096 distinct (endpoint, asset, access,
+/// mode) draws over the synthetic name space otherwise.
+[[nodiscard]] std::vector<core::SidRequest> distinct_requests(
+    std::size_t rules, const core::CompiledPolicyImage& image) {
+  std::vector<core::SidRequest> requests;
+  if (rules == 0) {
+    for (const car::FleetCheck& check : car::default_fleet_checks()) {
+      for (const char* mode : {"normal", "remote-diagnostic", "fail-safe"}) {
+        requests.push_back(image.resolve(core::AccessRequest{
+            check.subject, check.object, check.access, threat::ModeId{mode}}));
+      }
+    }
+    return requests;
+  }
+  static const char* const kModes[] = {"normal", "degraded", "fail-safe"};
+  const std::uint64_t subjects = std::max<std::size_t>(1, rules / 8);
+  sim::Rng rng(0xDEC1DE + rules);
+  std::set<std::tuple<std::uint64_t, std::uint64_t, int, int>> seen;
+  while (requests.size() < 4096) {
+    const auto key = std::make_tuple(rng.uniform(0, subjects - 1),
+                                     rng.uniform(0, 15),
+                                     static_cast<int>(rng.uniform(0, 1)),
+                                     static_cast<int>(rng.uniform(0, 2)));
+    if (!seen.insert(key).second) continue;
+    const auto& [s, o, a, m] = key;
+    requests.push_back(image.resolve(core::AccessRequest{
+        "ep.synth." + std::to_string(s), "asset.synth." + std::to_string(o),
+        a == 0 ? core::AccessType::kRead : core::AccessType::kWrite,
+        threat::ModeId{kModes[m]}}));
+  }
+  return requests;
 }
 
 [[nodiscard]] SizeRow measure_size(std::string label, std::size_t rules,
@@ -157,6 +200,32 @@ template <class BootFn>
       batch_means.push_back(total_us / attach_iters);
     }
     row.first_decision_us = median(batch_means);
+  }
+
+  // Decision cost: 256-wide verdict-only batches over distinct requests,
+  // the minimum of 30 runs (the least-disturbed pass of the hot path).
+  {
+    const std::vector<core::SidRequest> requests =
+        distinct_requests(rules, image);
+    std::vector<std::uint8_t> verdicts(requests.size());
+    constexpr std::size_t kBatch = 256;
+    double best_ns = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 30; ++run) {
+      const auto start = Clock::now();
+      for (std::size_t off = 0; off < requests.size(); off += kBatch) {
+        const std::size_t n = std::min(kBatch, requests.size() - off);
+        image.evaluate_batch_allowed({requests.data() + off, n},
+                                     {verdicts.data() + off, n});
+      }
+      best_ns = std::min(best_ns, since_us(start) * 1e3 /
+                                      static_cast<double>(requests.size()));
+    }
+    row.decide_ns = best_ns;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (image.evaluate(requests[i]).allowed != (verdicts[i] != 0)) {
+        row.parity = false;
+      }
+    }
   }
 
   // Full parity checks, once per path (the timed loops sample nothing to
@@ -241,23 +310,28 @@ int main() {
                                     {rules, 1, 0xC0FFEE})));
   }
 
-  std::printf("%-12s %10s %12s %12s %12s %12s %10s\n", "size", "rules",
-              "blob bytes", "v2 load us", "attach us", "file attach",
-              "1st dec us");
+  std::printf("%-12s %10s %12s %12s %12s %12s %10s %10s\n", "size",
+              "rules", "blob bytes", "v2 load us", "attach us", "file attach",
+              "1st dec us", "decide ns");
   for (const SizeRow& row : rows) {
-    std::printf("%-12s %10zu %12zu %12.1f %12.2f %12.2f %10.2f\n",
+    std::printf("%-12s %10zu %12zu %12.1f %12.2f %12.2f %10.2f %10.1f\n",
                 row.label.c_str(), row.rules, row.blob_bytes,
                 row.v2_load_us, row.v2_attach_us, row.v2_file_attach_us,
-                row.first_decision_us);
+                row.first_decision_us, row.decide_ns);
     if (!row.parity) parity_ok = false;
   }
 
   // The flat-boot acceptance: sealed attach of 50k rules within 3x of 36.
   const double flat_ratio = rows.back().v2_attach_us / rows.front().v2_attach_us;
   const bool flat_ok = flat_ratio <= 3.0;
+  // The decision-cost acceptance: a 50k-rule decision within 3x of 1k.
+  const double decide_ratio = rows.back().decide_ns / rows[1].decide_ns;
+  const bool decide_ok = decide_ratio <= 3.0;
   std::printf("\nsealed attach 50k/36 ratio: %.2fx (target <= 3.0x — %s); "
+              "decision 50k/1k ratio: %.2fx (target <= 3.0x — %s); "
               "decision parity: %s\n\n",
-              flat_ratio, flat_ok ? "met" : "MISSED",
+              flat_ratio, flat_ok ? "met" : "MISSED", decide_ratio,
+              decide_ok ? "met" : "MISSED",
               parity_ok ? "byte-identical" : "MISMATCH");
 
   // Machine-readable record (BENCH_policy_blob.json).
@@ -265,27 +339,29 @@ int main() {
   benchhost::print_host_json();
   std::printf(",\"blob_bytes\":%zu,\"write_us\":%.1f,"
               "\"compile_us\":%.1f,\"load_us\":%.1f,\"speedup\":%.1f,"
-              "\"flat_ratio\":%.2f,\"parity\":%s,\"sizes\":[",
+              "\"flat_ratio\":%.2f,\"decide_ratio\":%.2f,\"parity\":%s,"
+              "\"sizes\":[",
               blob.size(), write_us, compile_us, load_us, speedup, flat_ratio,
-              parity_ok ? "true" : "false");
+              decide_ratio, parity_ok ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SizeRow& row = rows[i];
     std::printf("%s{\"label\":\"%s\",\"rules\":%zu,\"blob_bytes\":%zu,"
                 "\"v2_load_us\":%.1f,"
                 "\"v2_attach_us\":%.2f,\"v2_file_attach_us\":%.2f,"
-                "\"first_decision_us\":%.2f}",
+                "\"first_decision_us\":%.2f,\"decide_ns\":%.1f}",
                 i == 0 ? "" : ",", row.label.c_str(), row.rules,
                 row.blob_bytes, row.v2_load_us,
                 row.v2_attach_us, row.v2_file_attach_us,
-                row.first_decision_us);
+                row.first_decision_us, row.decide_ns);
   }
   std::printf("]}\n");
 
-  // Exit gates parity AND the flat ratio. Parity is a defect anywhere;
-  // the flat ratio is a RATIO of two measurements on the same machine in
-  // the same run, so scheduling noise largely cancels — a miss means the
-  // attach path grew an O(n) step, which is exactly the regression this
-  // bench exists to catch. The 10x compile-vs-load speedup stays
-  // informational (absolute, hardware-dependent).
-  return parity_ok && flat_ok ? 0 : 1;
+  // Exit gates parity, the flat ratio AND the decision ratio. Parity is
+  // a defect anywhere; both ratios compare two measurements on the same
+  // machine in the same run, so scheduling noise largely cancels. A flat
+  // ratio miss means the attach path grew an O(n) step; a decision ratio
+  // miss means a decision went back to scanning whole spans. The 10x
+  // compile-vs-load speedup stays informational (absolute,
+  // hardware-dependent).
+  return parity_ok && flat_ok && decide_ok ? 0 : 1;
 }

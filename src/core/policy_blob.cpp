@@ -438,7 +438,9 @@ void PolicyBlobReader::validate_index(const CompiledPolicyImage& image,
   // Semantic index validation: the loaded open-addressing table must be
   // EXACTLY a sealed index over the loaded entries — every slot key
   // reachable by its own probe sequence, every span in bounds and keyed
-  // consistently, every entry indexed exactly once in insertion order.
+  // consistently, every entry indexed exactly once, every span in
+  // decision order (priority desc, index asc) — the invariant
+  // best_entry_for's first-match exit relies on.
   // (The fingerprint does not cover the index — it is derived data — so
   // this check is what keeps a corrupted index from silently serving
   // wrong decisions or walking out of bounds.)
@@ -480,8 +482,12 @@ void PolicyBlobReader::validate_index(const CompiledPolicyImage& image,
         reject("index slot groups an entry under the wrong key");
       }
       if (indexed[e]) reject("entry indexed twice");
-      if (c > 0 && e <= previous) {
-        reject("index span out of insertion order");
+      if (c > 0) {
+        const std::int32_t before = image.entries_[previous].priority;
+        if (entry.priority > before ||
+            (entry.priority == before && e < previous)) {
+          reject("index span out of decision order");
+        }
       }
       indexed[e] = true;
       previous = e;

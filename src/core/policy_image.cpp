@@ -175,6 +175,19 @@ void CompiledPolicyImage::seal_index() {
     slot_span_store_[i] = {static_cast<std::uint32_t>(flat_store_.size()),
                            static_cast<std::uint32_t>(indices.size())};
     flat_store_.insert(flat_store_.end(), indices.begin(), indices.end());
+    // Seal the span in decision order. Every entry in it shares one literal
+    // (subject, object) pair, hence one specificity, so (priority desc,
+    // index asc) is the full tie-break and best_entry_for can stop at the
+    // span's first match. Indices are unique, so the order is total and
+    // the unstable sort deterministic.
+    if (indices.size() > 1) {
+      std::sort(flat_store_.end() - static_cast<std::ptrdiff_t>(indices.size()),
+                flat_store_.end(), [this](std::uint32_t a, std::uint32_t b) {
+                  const std::int32_t pa = entries_store_[a].priority;
+                  const std::int32_t pb = entries_store_[b].priority;
+                  return pa != pb ? pa > pb : a < b;
+                });
+    }
   }
   index_build_.clear();
 }
@@ -342,9 +355,12 @@ std::int64_t CompiledPolicyImage::best_entry_for(
     SlotSpan wildcard_span) const noexcept {
   // An entry is indexed under its literal (subject, object) SID pair, so
   // the candidates for a request are exactly the four wildcard
-  // combinations. Revisiting an entry through two probes (a "*" request
-  // identity) is harmless: the tie-break is idempotent, and a pure
-  // maximum is also probe-order independent.
+  // combinations. Each span is sealed in decision order (priority desc,
+  // index asc; one specificity per span), so its first entry that passes
+  // the subject, object and mode checks is the span's winner and the scan
+  // stops there. The four winners are then compared under the full
+  // tie-break. Revisiting a span through two probes (a "*" request
+  // identity) is harmless: the tie-break is idempotent.
   const std::size_t entry_count = entries_.size();
   const Entry* best = nullptr;
   std::uint32_t best_index = 0;
@@ -366,6 +382,7 @@ std::int64_t CompiledPolicyImage::best_entry_for(
         best = &entry;
         best_index = i;
       }
+      break;
     }
   };
   scan(index_span(pair_key(subject, object)));

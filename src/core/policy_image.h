@@ -363,8 +363,10 @@ class CompiledPolicyImage {
   /// Index of the winning entry for (subject, object, mode bits), or -1
   /// when no entry matches. `wildcard_span` is the pre-resolved
   /// (*,*) span — it is the same for every request, so the batch path
-  /// resolves it once per call. Selection is a pure maximum under
-  /// (priority desc, specificity desc, lowest index) and never reads the
+  /// resolves it once per call. Each span is sealed in decision order,
+  /// so a span's scan stops at its first entry that matches subject,
+  /// object and mode; the four span winners are compared under (priority
+  /// desc, specificity desc, lowest index). Selection never reads the
   /// access type — which is what makes the batch memo exact.
   [[nodiscard]] std::int64_t best_entry_for(mac::Sid subject, mac::Sid object,
                                             std::uint64_t mode_bits,
@@ -388,7 +390,8 @@ class CompiledPolicyImage {
   void evaluate_batch_staged(std::span<const SidRequest> requests,
                              Materialise&& materialise) const;
 
-  /// Freezes index_build_ into the flat open-addressing probe structure.
+  /// Freezes index_build_ into the flat open-addressing probe structure,
+  /// each span sorted in decision order (priority desc, index asc).
   void seal_index();
 
   /// Points the evaluation views at the owned stores. Every owned-mode
@@ -419,9 +422,11 @@ class CompiledPolicyImage {
   /// Sealed (subject SID, object SID) index: a power-of-two
   /// open-addressing slot array (mac::mix_av_key probing, key 0 = empty —
   /// interned SIDs are never null, so no rule key is 0) whose slots span
-  /// a flattened entry-indices array. Four probes (exact/wildcard
-  /// combinations) cover every candidate for a request, each one costing
-  /// a mixed hash and a linear scan — no node chasing, no allocation.
+  /// a flattened entry-indices array. Every span is in decision order
+  /// (priority desc, index asc — its entries share one specificity). Four
+  /// probes (exact/wildcard combinations) cover every candidate for a
+  /// request, each one costing a mixed hash and a scan that stops at the
+  /// span's first match — no node chasing, no allocation.
   std::span<const std::uint64_t> slot_keys_;
   std::span<const SlotSpan> slot_spans_;
   std::span<const std::uint32_t> flat_index_;

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -300,6 +302,77 @@ TEST(PolicyBlobRejection, EverySingleByteCorruptionIsDetected) {
   }
 }
 
+TEST(PolicyBlobRejection, SpanOutOfDecisionOrder) {
+  // best_entry_for stops each span scan at its first match, which is only
+  // sound when every span is in decision order (priority desc, index
+  // asc). Swap two flat indices of different priority inside one span
+  // and re-seal the payload checksum, so the semantic index check is the
+  // one that must fire on every untrusted entry point.
+  sim::Rng rng(1313);
+  std::vector<std::byte> blob = PolicyBlobWriter::write(
+      CompiledPolicyImage::from_policy_set(fuzz_policy_set(rng, 60, false)));
+  const std::vector<core::PolicyBlobSection> sections =
+      core::policy_blob_layout(blob);
+  const std::byte* entries = nullptr;
+  const std::byte* spans = nullptr;
+  std::byte* flat = nullptr;
+  std::size_t slot_count = 0;
+  for (const core::PolicyBlobSection& section : sections) {
+    const std::string_view name = section.name;
+    if (name == "entries") entries = blob.data() + section.offset;
+    if (name == "flat entry indices") flat = blob.data() + section.offset;
+    if (name == "index slot spans") {
+      spans = blob.data() + section.offset;
+      slot_count = section.size / 8;
+    }
+  }
+  ASSERT_TRUE(entries != nullptr && spans != nullptr && flat != nullptr);
+  const auto priority = [&](std::uint32_t e) {
+    using Entry = CompiledPolicyImage::Entry;
+    return static_cast<std::int32_t>(core::wire::load_u32(
+        entries + sizeof(Entry) * e + offsetof(Entry, priority)));
+  };
+
+  bool swapped = false;
+  for (std::size_t s = 0; s < slot_count && !swapped; ++s) {
+    const std::uint32_t offset = core::wire::load_u32(spans + 8 * s);
+    const std::uint32_t count = core::wire::load_u32(spans + 8 * s + 4);
+    for (std::uint32_t c = 1; c < count && !swapped; ++c) {
+      std::byte* first = flat + 4 * (offset + c - 1);
+      std::byte* second = flat + 4 * (offset + c);
+      const std::uint32_t a = core::wire::load_u32(first);
+      const std::uint32_t b = core::wire::load_u32(second);
+      if (priority(a) == priority(b)) continue;
+      core::wire::store_u32(first, b);
+      core::wire::store_u32(second, a);
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped) << "no span mixes priorities";
+  core::wire::store_u64(
+      blob.data() + core::wire::kOffPayloadHash,
+      core::wire::hash_payload(
+          std::span<const std::byte>(blob).subspan(sections.front().size)));
+
+  const auto expect_rejection = [&](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " accepted a span out of decision order";
+    } catch (const PolicyBlobError& e) {
+      EXPECT_NE(std::string(e.what()).find("decision order"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_rejection([&] { (void)PolicyBlobReader::load(blob); }, "load(span)");
+  expect_rejection(
+      [&] {
+        (void)PolicyBlobReader::load(PolicyBuffer::copy_of(blob), nullptr,
+                                     BlobTrust::kUntrusted);
+      },
+      "load(buffer)");
+}
+
 TEST(PolicyBlobRejection, TrailingBytes) {
   std::vector<std::byte> blob = car_blob();
   blob.push_back(std::byte{0});  // size field no longer matches
@@ -398,7 +471,7 @@ TEST(FleetBoot, OtaUpdateSwapsPolicyAndRefusesRollback) {
 
 /// Compiled and borrowed images answering one request — the acceptance
 /// criterion is byte-identical Decisions across both.
-TEST(PolicyBlobZeroCopy, CompiledV1AndBorrowedAnswerIdentically) {
+TEST(PolicyBlobZeroCopy, CompiledAndBorrowedAnswerIdentically) {
   const CompiledPolicyImage& compiled = car_policy().image();
   const CompiledPolicyImage via_v2 = PolicyBlobReader::load(
       PolicyBuffer::take(PolicyBlobWriter::write(compiled)));

@@ -153,7 +153,7 @@ TEST(PolicyBlobScale, TruncationAtEveryBoundaryIsRejected) {
 
 // --------------------------------------------------------- parity at scale
 
-TEST(PolicyBlobScale, OwnedV1AndBorrowedAnswerIdenticallyInShuffledBatches) {
+TEST(PolicyBlobScale, OwnedAndBorrowedAnswerIdenticallyInShuffledBatches) {
   const CompiledPolicyImage& compiled = scale_image();
   const CompiledPolicyImage via_v2 =
       PolicyBlobReader::load(PolicyBuffer::take(scale_blob()),  // copy of blob

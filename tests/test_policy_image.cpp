@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "car/base_policy.h"
@@ -15,8 +19,13 @@
 #include "car/policy_binding.h"
 #include "car/table1.h"
 #include "core/policy.h"
+#include "core/policy_blob.h"
+#include "core/policy_buffer.h"
 #include "core/policy_compiler.h"
+#include "core/policy_delta.h"
 #include "core/policy_image.h"
+#include "core/policy_synth.h"
+#include "core/wire_format.h"
 #include "mac/mac_engine.h"
 #include "mac/te_policy.h"
 #include "sim/rng.h"
@@ -580,6 +589,218 @@ TEST(MacEngineBatch, UnissuedSidsDenyWithoutThrowing) {
     EXPECT_EQ(decision.rule_id, "te");
   }
   EXPECT_NE(out[0].reason.find("<invalid-sid>"), std::string::npos);
+}
+
+
+// ------------------ first-match span scan: differential parity at scale
+
+/// Few identities, two priorities and mixed mode masks: every span holds
+/// dozens of entries tied on priority, so a span's first match must be
+/// its lowest-index match and the cross-span tie-break still decides.
+PolicySet tie_heavy_policy_set(sim::Rng& rng, std::size_t rules) {
+  const std::vector<std::string> subjects = {"*", "a", "b"};
+  const std::vector<std::string> objects = {"*", "x", "y"};
+  const std::vector<std::string> modes = {"m1", "m2", "m3"};
+  PolicySet set("ties", 1);
+  for (std::size_t i = 0; i < rules; ++i) {
+    core::PolicyRule rule;
+    rule.id = "t" + std::to_string(i);
+    rule.subject = subjects[rng.uniform(0, subjects.size() - 1)];
+    rule.object = objects[rng.uniform(0, objects.size() - 1)];
+    rule.permission = static_cast<threat::Permission>(rng.uniform(0, 3));
+    rule.priority = static_cast<int>(rng.uniform(0, 1));
+    for (const auto& mode : modes) {
+      if (rng.chance(0.4)) rule.modes.push_back(threat::ModeId{mode});
+    }
+    set.add_rule(std::move(rule));
+  }
+  return set;
+}
+
+/// The OEM edit of `base`: drops some rules, re-prioritises others and
+/// appends fresh ones, so the delta's reseal reorders existing spans.
+PolicySet mutated_policy_set(sim::Rng& rng, const PolicySet& base) {
+  PolicySet target(base.name(), base.version() + 1);
+  target.set_default_allow(base.default_allow());
+  for (const core::PolicyRule& rule : base.rules()) {
+    if (rng.chance(0.1)) continue;
+    core::PolicyRule kept = rule;
+    if (rng.chance(0.2)) kept.priority = 1 - kept.priority;
+    target.add_rule(std::move(kept));
+  }
+  const PolicySet fresh = tie_heavy_policy_set(rng, base.size() / 5);
+  for (core::PolicyRule rule : fresh.rules()) {
+    rule.id = "new-" + rule.id;
+    target.add_rule(std::move(rule));
+  }
+  return target;
+}
+
+/// Requests over `subjects` x `objects`, always including the "*"
+/// request identity, a never-interned name, the mode-less form and a
+/// mode no rule names.
+std::vector<AccessRequest> span_requests(sim::Rng& rng, std::size_t count,
+                                         std::vector<std::string> subjects,
+                                         std::vector<std::string> objects,
+                                         std::vector<std::string> modes) {
+  subjects.insert(subjects.end(), {"*", "never.seen"});
+  objects.insert(objects.end(), {"*", "never.seen"});
+  modes.insert(modes.end(), {"", "never-seen-mode"});
+  std::vector<AccessRequest> requests;
+  requests.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    requests.push_back(AccessRequest{
+        subjects[rng.uniform(0, subjects.size() - 1)],
+        objects[rng.uniform(0, objects.size() - 1)],
+        rng.chance(0.5) ? AccessType::kRead : AccessType::kWrite,
+        threat::ModeId{modes[rng.uniform(0, modes.size() - 1)]}});
+  }
+  return requests;
+}
+
+/// Every form a deployed image takes: the direct compile (owned), an
+/// untrusted blob load and a sealed-store attach (both borrowed), and a
+/// delta applied to `base_image` (owned, resealed on the vehicle).
+std::vector<std::pair<std::string, CompiledPolicyImage>> deployed_forms(
+    const CompiledPolicyImage& base_image, const PolicySet& target) {
+  CompiledPolicyImage compiled = CompiledPolicyImage::from_policy_set(
+      target, core::replicate_sid_prefix(base_image.sids(),
+                                         base_image.sids().size()));
+  const std::vector<std::byte> blob = core::PolicyBlobWriter::write(compiled);
+  std::vector<std::pair<std::string, CompiledPolicyImage>> forms;
+  forms.emplace_back("loaded", core::PolicyBlobReader::load(blob));
+  forms.emplace_back("attached",
+                     core::PolicyBlobReader::load(
+                         core::PolicyBuffer::copy_of(blob), nullptr,
+                         core::BlobTrust::kSealedStore));
+  forms.emplace_back(
+      "delta-applied",
+      core::PolicyDeltaReader::apply(
+          base_image, core::PolicyDeltaWriter::write(base_image, compiled)));
+  forms.emplace_back("compiled", std::move(compiled));
+  return forms;
+}
+
+/// Scalar evaluate, Decision batch and verdict-only batch, each against
+/// the linear-scan oracle over `set`.
+void expect_oracle_parity(const PolicySet& set,
+                          const CompiledPolicyImage& image,
+                          const std::vector<AccessRequest>& requests,
+                          const std::string& form) {
+  std::vector<SidRequest> resolved;
+  resolved.reserve(requests.size());
+  for (const AccessRequest& request : requests) {
+    resolved.push_back(image.resolve(request));
+  }
+  std::vector<Decision> batch(resolved.size());
+  image.evaluate_batch(resolved, batch);
+  std::vector<std::uint8_t> verdicts(resolved.size());
+  image.evaluate_batch_allowed(resolved, verdicts);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Decision want = oracle(set, requests[i]);
+    const std::string context = form + " " + requests[i].to_string();
+    expect_same_decision(image.evaluate(resolved[i]), want,
+                         context + " (scalar)");
+    expect_same_decision(batch[i], want, context + " (batch)");
+    EXPECT_EQ(verdicts[i] != 0, want.allowed) << context << " (verdict)";
+  }
+}
+
+/// Reads the sealed index back out of the image's own serialisation (the
+/// writer copies it verbatim) and pins every span in decision order:
+/// priority desc, then entry index asc.
+void expect_spans_in_decision_order(const CompiledPolicyImage& image,
+                                    const std::string& form) {
+  const std::vector<std::byte> blob = core::PolicyBlobWriter::write(image);
+  const std::byte* entries = nullptr;
+  const std::byte* spans = nullptr;
+  const std::byte* flat = nullptr;
+  std::size_t slot_count = 0;
+  for (const core::PolicyBlobSection& section :
+       core::policy_blob_layout(blob)) {
+    const std::string_view name = section.name;
+    if (name == "entries") entries = blob.data() + section.offset;
+    if (name == "flat entry indices") flat = blob.data() + section.offset;
+    if (name == "index slot spans") {
+      spans = blob.data() + section.offset;
+      slot_count = section.size / 8;
+    }
+  }
+  ASSERT_TRUE(entries != nullptr && spans != nullptr && flat != nullptr);
+  const auto priority = [&](std::uint32_t e) {
+    using Entry = CompiledPolicyImage::Entry;
+    return static_cast<std::int32_t>(core::wire::load_u32(
+        entries + sizeof(Entry) * e + offsetof(Entry, priority)));
+  };
+  std::size_t multi_entry_spans = 0;
+  for (std::size_t s = 0; s < slot_count; ++s) {
+    const std::uint32_t offset = core::wire::load_u32(spans + 8 * s);
+    const std::uint32_t count = core::wire::load_u32(spans + 8 * s + 4);
+    if (count > 1) ++multi_entry_spans;
+    for (std::uint32_t c = 1; c < count; ++c) {
+      const std::uint32_t a = core::wire::load_u32(flat + 4 * (offset + c - 1));
+      const std::uint32_t b = core::wire::load_u32(flat + 4 * (offset + c));
+      EXPECT_TRUE(priority(a) > priority(b) ||
+                  (priority(a) == priority(b) && a < b))
+          << form << ": slot " << s << " entries " << a << ", " << b;
+    }
+  }
+  EXPECT_GT(multi_entry_spans, 0u) << form;
+}
+
+TEST(PolicyImageSpanOrder, TieHeavyFuzzMatchesOracleInEveryDeployedForm) {
+  sim::Rng rng(2718);
+  for (int round = 0; round < 4; ++round) {
+    const PolicySet base = tie_heavy_policy_set(rng, 240);
+    const PolicySet target = mutated_policy_set(rng, base);
+    const CompiledPolicyImage base_image =
+        CompiledPolicyImage::from_policy_set(base);
+    const std::vector<AccessRequest> requests =
+        span_requests(rng, 400, {"a", "b"}, {"x", "y"}, {"m1", "m2", "m3"});
+    for (const auto& [form, image] : deployed_forms(base_image, target)) {
+      expect_oracle_parity(target, image, requests,
+                           form + " round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(PolicyImageSpanOrder, SynthTenThousandMatchesOracleInEveryDeployedForm) {
+  // Quadratic duplicate-id scan at this size: about half a second.
+  const core::SynthPolicyOptions options{10'000, 2, 0xC0FFEE};
+  const PolicySet target = core::synth_policy_set(options);
+  // The generator is sequential: the 9k-rule image is a prefix of the
+  // 10k-rule stream, interned first — a prefix-compatible delta base.
+  const CompiledPolicyImage base_image =
+      core::synth_policy_image({9'000, 1, options.seed});
+  std::vector<std::string> subjects;
+  std::vector<std::string> objects;
+  // Past the generator's 1250 endpoints and 16 assets: unknown names too.
+  for (int i = 0; i < 1'300; ++i) {
+    subjects.push_back("ep.synth." + std::to_string(i));
+  }
+  for (int j = 0; j < 18; ++j) {
+    objects.push_back("asset.synth." + std::to_string(j));
+  }
+  sim::Rng rng(31337);
+  const std::vector<AccessRequest> requests = span_requests(
+      rng, 2'000, subjects, objects, {"normal", "degraded", "fail-safe"});
+  for (const auto& [form, image] : deployed_forms(base_image, target)) {
+    expect_oracle_parity(target, image, requests, form);
+  }
+}
+
+TEST(PolicyImageSpanOrder, EverySpanIsSealedInDecisionOrder) {
+  sim::Rng rng(1618);
+  const PolicySet base = tie_heavy_policy_set(rng, 240);
+  const CompiledPolicyImage base_image =
+      CompiledPolicyImage::from_policy_set(base);
+  expect_spans_in_decision_order(base_image, "built");
+  for (const auto& [form, image] :
+       deployed_forms(base_image, mutated_policy_set(rng, base))) {
+    expect_spans_in_decision_order(image, form);
+  }
+  expect_spans_in_decision_order(core::synth_policy_image({10'000, 1, 7}),
+                                 "synth-10k");
 }
 
 }  // namespace
