@@ -87,8 +87,7 @@ int main() {
         totals.allowed += stats.allowed;
         totals.denied += stats.denied;
         ++ticks;
-      },
-      "fleet-tick");
+      });
 
   sched.run_until(sched.now() + 1s);
   ticker.stop();

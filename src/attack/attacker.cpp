@@ -16,8 +16,7 @@ void OutsideAttacker::inject_repeated(const can::Frame& frame,
                                       sim::SimDuration period) {
   for (std::uint32_t i = 0; i < count; ++i) {
     scheduler().schedule_in(period * static_cast<std::int64_t>(i),
-                            [this, frame] { inject(frame); },
-                            "attack.inject");
+                            [this, frame] { inject(frame); });
   }
 }
 
@@ -54,8 +53,7 @@ void inject_via_repeated(sim::Scheduler& sched, car::Vehicle& vehicle,
     sched.schedule_in(period * static_cast<std::int64_t>(i),
                       [&vehicle, node, frame] {
                         inject_via(vehicle, node, frame);
-                      },
-                      "attack.inject-inside");
+                      });
   }
 }
 

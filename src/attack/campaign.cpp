@@ -392,7 +392,7 @@ BusObservation run_bus_world(Family family, std::uint32_t index,
     }
     car::nm::NmParticipant* raw = station.get();
     sched.schedule_in(std::chrono::milliseconds{10 + 7 * address},
-                      [raw] { raw->start(); }, "campaign.nm.start");
+                      [raw] { raw->start(); });
     ring.push_back(std::move(station));
   }
 
@@ -411,12 +411,10 @@ BusObservation run_bus_world(Family family, std::uint32_t index,
   sched.schedule_in(600ms,
                     [&vehicle] {
                       vehicle.set_mode(car::CarMode::kRemoteDiagnostic);
-                    },
-                    "campaign.mode");
+                    });
   if (family != Family::kDiagSessionHijack) {
     sched.schedule_in(1200ms,
-                      [&vehicle] { vehicle.set_mode(car::CarMode::kNormal); },
-                      "campaign.mode");
+                      [&vehicle] { vehicle.set_mode(car::CarMode::kNormal); });
   }
   sched.run_until(sim::SimTime{2000ms});
 
@@ -438,8 +436,7 @@ BusObservation run_bus_world(Family family, std::uint32_t index,
     sched.schedule_in(100ms + step.offset,
                       [&attacker, frame = step.frame] {
                         attacker.inject(frame);
-                      },
-                      "campaign.attack");
+                      });
   }
 
   BusObservation obs;
@@ -453,8 +450,7 @@ BusObservation run_bus_world(Family family, std::uint32_t index,
                           ++obs.mode_mismatches;
                         }
                       }
-                    },
-                    "campaign.probe");
+                    });
 
   sched.run_until(sim::SimTime{3600ms});
 
@@ -523,8 +519,7 @@ SegmentedObservation run_segmented_world(std::uint64_t seed,
     sched.schedule_in(50ms + step.offset,
                       [&attacker, frame = step.frame] {
                         attacker.inject(frame);
-                      },
-                      "campaign.attack");
+                      });
   }
   sched.run_until(sim::SimTime{2200ms});
 

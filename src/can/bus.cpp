@@ -35,7 +35,7 @@ void Bus::kick() {
   sched_.schedule_in(sim::SimDuration::zero(), [this] {
     kick_scheduled_ = false;
     arbitrate();
-  }, "can.bus.arbitrate");
+  });
 }
 
 void Bus::arbitrate() {
@@ -65,10 +65,10 @@ void Bus::arbitrate() {
   const Frame& frame = *ports_[winner]->pending_;
   const auto duration = bit_time() * static_cast<std::int64_t>(frame.wire_bits());
   busy_time_ += duration;
-  trace(sim::TraceLevel::kDebug,
-        ports_[winner]->name() + " wins arbitration: " + frame.to_string());
-  sched_.schedule_in(duration, [this, winner] { complete(winner); },
-                     "can.bus.complete");
+  trace(sim::TraceLevel::kDebug, [&] {
+    return ports_[winner]->name() + " wins arbitration: " + frame.to_string();
+  });
+  sched_.schedule_in(duration, [this, winner] { complete(winner); });
 }
 
 void Bus::complete(std::size_t winner_index) {
@@ -82,7 +82,8 @@ void Bus::complete(std::size_t winner_index) {
 
   if (corrupted) {
     ++frames_corrupted_;
-    trace(sim::TraceLevel::kError, "frame destroyed by bus error: " + frame.to_string());
+    trace(sim::TraceLevel::kError,
+          [&] { return "frame destroyed by bus error: " + frame.to_string(); });
     if (tx.sink_ != nullptr) tx.sink_->on_transmit_complete(frame, false, now);
   } else {
     ++frames_delivered_;
@@ -123,10 +124,6 @@ double Bus::utilisation() const noexcept {
   if (elapsed <= sim::SimTime::zero()) return 0.0;
   return static_cast<double>(busy_time_.count()) /
          static_cast<double>(elapsed.count());
-}
-
-void Bus::trace(sim::TraceLevel level, const std::string& msg) {
-  if (trace_ != nullptr) trace_->record(sched_.now(), level, "can.bus", msg);
 }
 
 }  // namespace psme::can

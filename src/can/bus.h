@@ -129,7 +129,13 @@ class Bus {
   /// notifies it, broadcasts to all other ports, then re-arbitrates.
   void complete(std::size_t winner_index);
 
-  void trace(sim::TraceLevel level, const std::string& msg);
+  /// Records `message()`, built only when an attached Trace keeps `level`.
+  template <typename Message>
+  void trace(sim::TraceLevel level, Message&& message) {
+    if (trace_ != nullptr && trace_->records(level)) {
+      trace_->record(sched_.now(), level, "can.bus", message());
+    }
+  }
 
   sim::Scheduler& sched_;
   std::uint32_t bit_rate_;

@@ -17,12 +17,14 @@ Controller::~Controller() { channel_.set_sink(nullptr); }
 bool Controller::transmit(const Frame& frame) {
   if (!errors_.can_transmit()) {
     ++stats_.tx_dropped;
-    trace(sim::TraceLevel::kError, "transmit refused: node is bus-off");
+    trace(sim::TraceLevel::kError,
+          [] { return "transmit refused: node is bus-off"; });
     return false;
   }
   if (tx_queue_.size() >= tx_queue_capacity_) {
     ++stats_.tx_dropped;
-    trace(sim::TraceLevel::kError, "transmit refused: TX queue full");
+    trace(sim::TraceLevel::kError,
+          [] { return "transmit refused: TX queue full"; });
     return false;
   }
   // Insert keeping priority order (stable among equal identifiers).
@@ -51,7 +53,7 @@ void Controller::pump() {
     // it and keep pumping — a deep queue must not stall behind a blocked
     // head.
     trace(sim::TraceLevel::kSecurity,
-          "TX blocked by policy shim: " + head.to_string());
+          [&] { return "TX blocked by policy shim: " + head.to_string(); });
     ++stats_.tx_dropped;
     tx_queue_.pop_front();
     current_attempts_ = 0;
@@ -106,8 +108,9 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
       std::find(quarantined_.begin(), quarantined_.end(), frame.id()) !=
           quarantined_.end()) {
     ++stats_.rx_quarantined;
-    trace(sim::TraceLevel::kSecurity,
-          "RX dropped by quarantine block: " + frame.to_string());
+    trace(sim::TraceLevel::kSecurity, [&] {
+      return "RX dropped by quarantine block: " + frame.to_string();
+    });
     return;
   }
   if (!accepts(frame.id())) {
@@ -120,7 +123,7 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
   if (wire_mac_ != nullptr && !wire_mac_->admit(frame, at)) {
     ++stats_.rx_wire_denied;
     trace(sim::TraceLevel::kSecurity,
-          "RX dropped by wire MAC: " + frame.to_string());
+          [&] { return "RX dropped by wire MAC: " + frame.to_string(); });
     return;
   }
   ++stats_.rx_accepted;
@@ -130,7 +133,8 @@ void Controller::on_frame(const Frame& frame, sim::SimTime at) {
   }
   if (rx_fifo_.size() >= rx_fifo_capacity_) {
     ++stats_.rx_overflow;
-    trace(sim::TraceLevel::kError, "RX FIFO overflow, frame lost");
+    trace(sim::TraceLevel::kError,
+          [] { return "RX FIFO overflow, frame lost"; });
     return;
   }
   rx_fifo_.push_back(frame);
@@ -153,7 +157,8 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
   errors_.on_transmit_error();
   ++current_attempts_;
   if (!errors_.can_transmit()) {
-    trace(sim::TraceLevel::kError, "entered bus-off, dropping TX queue");
+    trace(sim::TraceLevel::kError,
+          [] { return "entered bus-off, dropping TX queue"; });
     stats_.tx_dropped += tx_queue_.size() + 1;  // queue plus in-flight frame
     tx_queue_.clear();
     in_flight_.reset();
@@ -161,8 +166,9 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
     return;
   }
   if (current_attempts_ >= retransmit_limit_) {
-    trace(sim::TraceLevel::kError,
-          "retransmit limit reached, dropping " + frame.to_string());
+    trace(sim::TraceLevel::kError, [&] {
+      return "retransmit limit reached, dropping " + frame.to_string();
+    });
     in_flight_.reset();
     ++stats_.tx_dropped;
     current_attempts_ = 0;
@@ -178,12 +184,6 @@ void Controller::on_transmit_complete(const Frame& frame, bool success,
     in_flight_.reset();
     current_attempts_ = 0;
     pump();
-  }
-}
-
-void Controller::trace(sim::TraceLevel level, const std::string& msg) {
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), level, "can.ctrl." + name_, msg);
   }
 }
 

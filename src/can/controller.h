@@ -157,7 +157,13 @@ class Controller final : public FrameSink {
 
   [[nodiscard]] bool accepts(CanId id) const noexcept;
 
-  void trace(sim::TraceLevel level, const std::string& msg);
+  /// Records `message()`, built only when an attached Trace keeps `level`.
+  template <typename Message>
+  void trace(sim::TraceLevel level, Message&& message) {
+    if (trace_ != nullptr && trace_->records(level)) {
+      trace_->record(sched_.now(), level, "can.ctrl." + name_, message());
+    }
+  }
 
   sim::Scheduler& sched_;
   Channel& channel_;

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace psme::can {
 
@@ -53,81 +54,85 @@ Frame Frame::remote(CanId id, std::uint8_t dlc) {
 
 namespace {
 
-void push_bits(std::vector<bool>& bits, std::uint32_t value, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    bits.push_back(((value >> i) & 1u) != 0);
+/// The bits of one frame's stuffed region (SOF through CRC), filled once
+/// per call on the stack. 118 = the longest frame: 39-bit extended
+/// header, 64 data bits, 15 CRC bits.
+struct BitBuffer {
+  std::array<std::uint8_t, 118> bit{};
+  std::size_t size = 0;
+
+  void push(bool b) noexcept { bit[size++] = b ? 1 : 0; }
+  void push(std::uint32_t value, int width) noexcept {
+    for (int i = width - 1; i >= 0; --i) push(((value >> i) & 1u) != 0);
   }
-}
+};
 
-}  // namespace
-
-void Frame::append_bitstream(std::vector<bool>& bits) const {
-  // SOF (dominant).
-  bits.push_back(false);
-  if (!id_.is_extended()) {
-    push_bits(bits, id_.raw(), 11);
-    bits.push_back(rtr_);   // RTR
-    bits.push_back(false);  // IDE = 0 (standard)
-    bits.push_back(false);  // r0
+/// SOF through the last data bit, as transmitted.
+void fill_header_and_data(const Frame& frame, BitBuffer& bits) noexcept {
+  const CanId id = frame.id();
+  const bool rtr = frame.is_remote();
+  bits.push(false);  // SOF (dominant)
+  if (!id.is_extended()) {
+    bits.push(id.raw(), 11);
+    bits.push(rtr);    // RTR
+    bits.push(false);  // IDE = 0 (standard)
+    bits.push(false);  // r0
   } else {
-    push_bits(bits, (id_.raw() >> 18) & 0x7FF, 11);  // base id
-    bits.push_back(true);                            // SRR (recessive)
-    bits.push_back(true);                            // IDE = 1 (extended)
-    push_bits(bits, id_.raw() & 0x3FFFF, 18);        // id extension
-    bits.push_back(rtr_);                            // RTR
-    bits.push_back(false);                           // r1
-    bits.push_back(false);                           // r0
+    bits.push((id.raw() >> 18) & 0x7FF, 11);  // base id
+    bits.push(true);                          // SRR (recessive)
+    bits.push(true);                          // IDE = 1 (extended)
+    bits.push(id.raw() & 0x3FFFF, 18);        // id extension
+    bits.push(rtr);                           // RTR
+    bits.push(false);                         // r1
+    bits.push(false);                         // r0
   }
-  push_bits(bits, dlc_, 4);
-  if (!rtr_) {
-    for (std::uint8_t i = 0; i < dlc_; ++i) push_bits(bits, data_[i], 8);
-  }
+  bits.push(frame.dlc(), 4);
+  for (const std::uint8_t byte : frame.data()) bits.push(byte, 8);
 }
 
-std::uint16_t Frame::crc15() const noexcept {
-  // ISO 11898-1 CRC: polynomial 0xC599 (x^15+x^14+x^10+x^8+x^7+x^4+x^3+1),
-  // computed over SOF through the last data bit, initial value 0.
-  std::vector<bool> bits;
-  append_bitstream(bits);
+/// ISO 11898-1 CRC: polynomial 0xC599 (x^15+x^14+x^10+x^8+x^7+x^4+x^3+1),
+/// computed over SOF through the last data bit, initial value 0.
+std::uint16_t crc15_of(const BitBuffer& bits) noexcept {
   std::uint16_t crc = 0;
-  for (const bool bit : bits) {
-    const bool crc_next = bit ^ (((crc >> 14) & 1u) != 0);
+  for (std::size_t i = 0; i < bits.size; ++i) {
+    const bool crc_next = (bits.bit[i] != 0) ^ (((crc >> 14) & 1u) != 0);
     crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
     if (crc_next) crc ^= 0x4599;
   }
   return crc;
 }
 
+}  // namespace
+
+std::uint16_t Frame::crc15() const noexcept {
+  BitBuffer bits;
+  fill_header_and_data(*this, bits);
+  return crc15_of(bits);
+}
+
 std::size_t Frame::wire_bits() const noexcept {
   // Stuffing applies from SOF through the CRC sequence: after five
   // consecutive equal bits a stuff bit of opposite polarity is inserted.
-  std::vector<bool> bits;
-  append_bitstream(bits);
-  push_bits(bits, crc15(), 15);
+  BitBuffer bits;
+  fill_header_and_data(*this, bits);
+  bits.push(crc15_of(bits), 15);
 
   std::size_t stuffed = 0;
   int run = 0;
-  bool prev = false;
-  bool first = true;
-  for (bool b : bits) {
-    if (!first && b == prev) {
-      ++run;
-      if (run == 5) {
-        ++stuffed;     // stuff bit inserted, opposite polarity
-        prev = !b;     // the stuff bit becomes the new "previous"
-        run = 1;
-        continue;
-      }
-    } else {
+  std::uint8_t prev = 2;  // no previous bit yet
+  for (std::size_t i = 0; i < bits.size; ++i) {
+    run = bits.bit[i] == prev ? run + 1 : 1;
+    prev = bits.bit[i];
+    if (run == 5) {
+      ++stuffed;  // stuff bit of opposite polarity: the new "previous"
+      prev ^= 1;
       run = 1;
     }
-    prev = b;
-    first = false;
   }
 
   // CRC delimiter (1) + ACK slot (1) + ACK delimiter (1) + EOF (7)
   // + interframe space (3); none of these are subject to stuffing.
-  return bits.size() + stuffed + 1 + 1 + 1 + 7 + 3;
+  return bits.size + stuffed + 1 + 1 + 1 + 7 + 3;
 }
 
 std::string Frame::to_string() const {

@@ -12,7 +12,6 @@
 #include <initializer_list>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace psme::can {
 
@@ -110,8 +109,6 @@ class Frame {
   friend bool operator==(const Frame& a, const Frame& b) noexcept = default;
 
  private:
-  void append_bitstream(std::vector<bool>& bits) const;
-
   CanId id_{};
   bool rtr_ = false;
   std::uint8_t dlc_ = 0;

@@ -87,8 +87,7 @@ std::size_t Replayer::replay(const std::vector<RecordedFrame>& records,
     const auto offset_ns = static_cast<std::int64_t>(
         static_cast<double>((record.at - base).count()) / speedup);
     sched_.schedule_in(sim::SimDuration{offset_ns},
-                       [this, frame = record.frame] { fire(frame); },
-                       "replay");
+                       [this, frame = record.frame] { fire(frame); });
   }
   return records.size();
 }
@@ -97,7 +96,7 @@ void Replayer::replay_repeated(const Frame& frame, std::uint32_t count,
                                sim::SimDuration spacing) {
   for (std::uint32_t i = 0; i < count; ++i) {
     sched_.schedule_in(spacing * static_cast<std::int64_t>(i),
-                       [this, frame] { fire(frame); }, "replay");
+                       [this, frame] { fire(frame); });
   }
 }
 

@@ -156,6 +156,15 @@ void WireMac::expire_flows(sim::SimTime now) {
   }
 }
 
+void WireMac::forget_flow(Plan& plan, std::uint64_t key) {
+  // Erased now for this batch's later frames, and again by the apply pass
+  // in stream order, after a same-batch FF has recorded its verdict.
+  flow_verdicts_.erase(key);
+  batch_flow_leaders_.erase(key);
+  plan.flow_op = Plan::FlowOp::kForget;
+  plan.flow_key = key;
+}
+
 WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
   Plan plan;
   const CanId id = frame.id();
@@ -223,13 +232,12 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
                                           IsoTpFrameType::kSingle) {
         // A whole message in one frame adjudicates like a plain frame;
         // it also tore down any half-open flow on the id.
-        flow_verdicts_.erase(key);
-        batch_flow_leaders_.erase(key);
+        forget_flow(plan, key);
         emit_lanes();
         return plan;
       }
       // Final CF: inherit the flow verdict, then forget the flow.
-      plan.flow_op = Plan::FlowOp::kComplete;
+      plan.flow_op = Plan::FlowOp::kForget;
       [[fallthrough]];
     case IsoTpReassembler::EventKind::kPayloadFrame: {
       plan.flow_key = key;
@@ -237,7 +245,7 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
       if (leader != batch_flow_leaders_.end()) {
         plan.kind = Plan::Kind::kInheritFlow;
         plan.flow_leader = leader->second;
-        if (plan.flow_op == Plan::FlowOp::kComplete) {
+        if (plan.flow_op == Plan::FlowOp::kForget) {
           batch_flow_leaders_.erase(leader);
         }
         return plan;
@@ -262,8 +270,7 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
       plan.flow_key = key;
       return plan;
     case IsoTpReassembler::EventKind::kError:
-      flow_verdicts_.erase(key);
-      batch_flow_leaders_.erase(key);
+      forget_flow(plan, key);
       plan.kind = Plan::Kind::kDrop;
       plan.reason = WireDropReason::kMalformedIsoTp;
       return plan;
@@ -351,11 +358,11 @@ void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
         } else {
           count_drop(frames[i], WireDropReason::kFlowDenied, at);
         }
-        if (plan.flow_op == Plan::FlowOp::kComplete) {
-          flow_verdicts_.erase(plan.flow_key);
-        }
         break;
       }
+    }
+    if (plan.flow_op == Plan::FlowOp::kForget) {
+      flow_verdicts_.erase(plan.flow_key);
     }
     if (allowed) ++stats_.allowed;
     allowed_out[i] = allowed ? 1 : 0;

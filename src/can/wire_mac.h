@@ -292,7 +292,8 @@ class WireMac {
     enum class FlowOp : std::uint8_t {
       kNone,      // no flow bookkeeping
       kRecord,    // store this frame's verdict under flow_key (FF)
-      kComplete,  // forget flow_key's verdict after applying (final CF)
+      kForget,    // forget flow_key's verdict after applying (final CF,
+                  // SF or transport error on the flow's id)
     };
     Kind kind = Kind::kPass;
     FlowOp flow_op = FlowOp::kNone;
@@ -309,6 +310,10 @@ class WireMac {
 
   /// Builds the plan and SID lanes for frames[i]; appends to lanes_.
   [[nodiscard]] Plan classify(const Frame& frame, sim::SimTime at);
+
+  /// Tears down the flow on `key` (SF or transport error on its id), now
+  /// for classification and, through `plan`, again at apply time.
+  void forget_flow(Plan& plan, std::uint64_t key);
 
   void count_drop(const Frame& frame, WireDropReason reason, sim::SimTime at);
 

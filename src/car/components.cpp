@@ -61,8 +61,7 @@ ActuatorNode::ActuatorNode(sim::Scheduler& sched, can::Channel& channel,
       command_id_(command_id),
       status_id_(status_id) {
   status_task_ = std::make_unique<sim::PeriodicTask>(
-      scheduler(), first_status, status_period, [this] { broadcast_status(); },
-      this->name() + ".status");
+      scheduler(), first_status, status_period, [this] { broadcast_status(); });
 }
 
 void ActuatorNode::on_message(const can::Frame& frame, sim::SimTime at) {
@@ -120,8 +119,7 @@ EvEcuNode::EvEcuNode(sim::Scheduler& sched, can::Channel& channel,
         if (active_ && mode() == CarMode::kNormal) {
           send(command_frame(msg::kEngineCommand, op::kSetValue, speed_));
         }
-      },
-      "ecu.torque");
+      });
 }
 
 void EvEcuNode::on_other_message(const can::Frame& frame, sim::SimTime /*at*/) {
@@ -157,8 +155,7 @@ SensorNode::SensorNode(sim::Scheduler& sched, can::Channel& channel,
                        sim::Trace* trace, std::uint64_t seed)
     : CarNode(sched, channel, "sensors", trace, seed) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      scheduler(), sim::SimTime{4ms}, 20ms, [this] { broadcast(); },
-      "sensors.broadcast");
+      scheduler(), sim::SimTime{4ms}, 20ms, [this] { broadcast(); });
 }
 
 void SensorNode::on_message(const can::Frame&, sim::SimTime) {}
@@ -180,8 +177,7 @@ DoorLockNode::DoorLockNode(sim::Scheduler& sched, can::Channel& channel,
                            sim::Trace* trace, std::uint64_t seed)
     : CarNode(sched, channel, "doors", trace, seed) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      scheduler(), sim::SimTime{6ms}, 200ms, [this] { broadcast_status(); },
-      "doors.status");
+      scheduler(), sim::SimTime{6ms}, 200ms, [this] { broadcast_status(); });
 }
 
 void DoorLockNode::on_message(const can::Frame& frame, sim::SimTime /*at*/) {
@@ -230,8 +226,7 @@ SafetyCriticalNode::SafetyCriticalNode(sim::Scheduler& sched,
                                        sim::Trace* trace, std::uint64_t seed)
     : CarNode(sched, channel, "safety", trace, seed) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      scheduler(), sim::SimTime{7ms}, 200ms, [this] { broadcast_status(); },
-      "safety.status");
+      scheduler(), sim::SimTime{7ms}, 200ms, [this] { broadcast_status(); });
 }
 
 void SafetyCriticalNode::on_message(const can::Frame& frame,
@@ -277,8 +272,7 @@ ConnectivityNode::ConnectivityNode(sim::Scheduler& sched,
                                    std::uint64_t seed)
     : CarNode(sched, channel, "connectivity", trace, seed) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      scheduler(), sim::SimTime{8ms}, 500ms, [this] { report_tracking(); },
-      "connectivity.tracking");
+      scheduler(), sim::SimTime{8ms}, 500ms, [this] { report_tracking(); });
 }
 
 void ConnectivityNode::on_message(const can::Frame& frame, sim::SimTime /*at*/) {

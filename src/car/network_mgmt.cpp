@@ -68,10 +68,10 @@ void NmParticipant::start() {
   // bus never echoes the sender's own frames, so this cannot sustain a
   // one-member ring — a peerless station degrades to limp home instead.
   pending_pass_ = scheduler().schedule_in(
-      options_.typ_delay, [this] { pass_token(); }, "nm.bootstrap");
+      options_.typ_delay, [this] { pass_token(); });
   supervision_ = std::make_unique<sim::PeriodicTask>(
       scheduler(), scheduler().now() + options_.poll_period,
-      options_.poll_period, [this] { supervise(); }, "nm.supervise");
+      options_.poll_period, [this] { supervise(); });
 }
 
 void NmParticipant::send_alive() {
@@ -211,7 +211,7 @@ void NmParticipant::handle_frame(const can::Frame& frame, sim::SimTime at) {
     }
     if (pending_pass_ != 0) scheduler().cancel(pending_pass_);
     pending_pass_ = scheduler().schedule_in(
-        options_.typ_delay, [this] { pass_token(); }, "nm.pass");
+        options_.typ_delay, [this] { pass_token(); });
   }
 }
 

@@ -47,7 +47,7 @@ void QuarantineController::start() {
   if (poller_ != nullptr) return;
   poller_ = std::make_unique<sim::PeriodicTask>(
       sched_, sched_.now() + options_.poll_period, options_.poll_period,
-      [this] { poll(); }, "quarantine.poll");
+      [this] { poll(); });
 }
 
 std::vector<can::CanId> QuarantineController::blocked_ids() const {
@@ -150,8 +150,8 @@ void QuarantineController::install_block(can::CanId id) {
   ++stats_.ids_blocked;
   events_.push_back(QuarantineEvent{sched_.now(), QuarantineAction::kIdBlocked,
                                     id, "expires in poll cycles"});
-  sched_.schedule_in(options_.block_duration, [this, id] { release_block(id); },
-                     "quarantine.release");
+  sched_.schedule_in(options_.block_duration,
+                     [this, id] { release_block(id); });
 }
 
 void QuarantineController::release_block(can::CanId id) {

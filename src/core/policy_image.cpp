@@ -459,17 +459,26 @@ void CompiledPolicyImage::evaluate_batch_staged(
   // the alternation it exists to serve (two hot keys sharing a set evict
   // each other every revisit). Two ways with shift-to-second-way
   // insertion make any pair of colliding hot keys stable residents.
+  // Only the per-set fill count (0, 1 or 2 ways) is cleared per call: a
+  // way is read or copied only below its set's count, so a 1-3 lane
+  // wire-MAC batch skips clearing 16 KiB of slots it never touches.
   constexpr std::size_t kMemoSets = 256;
   struct MemoSlot {
-    std::uint64_t pair = 0;
-    std::uint64_t bits = 0;
-    std::int64_t best = 0;
-    bool used = false;
+    std::uint64_t pair;
+    std::uint64_t bits;
+    std::int64_t best;
   };
-  struct MemoSet {
-    MemoSlot way[2];
+  MemoSlot memo[kMemoSets][2];
+  std::uint8_t memo_fill[kMemoSets] = {};
+  // The memoised winner for (pair, mode bits) in set m, or nullptr.
+  const auto memo_find = [&](std::size_t m, std::uint64_t pk,
+                             std::uint64_t mb) -> const std::int64_t* {
+    for (std::uint8_t w = 0; w < memo_fill[m]; ++w) {
+      const MemoSlot& slot = memo[m][w];
+      if (slot.pair == pk && slot.bits == mb) return &slot.best;
+    }
+    return nullptr;
   };
-  MemoSet memo[kMemoSets];
 
   // Chunked three-wave pipeline: resolve (pack keys, consult memo),
   // probe (walk the sealed index for memo misses, origins prefetched a
@@ -509,13 +518,8 @@ void CompiledPolicyImage::evaluate_batch_staged(
                                   mac::mix_av_key(pk ^ mode_bits)) &
                               (kMemoSets - 1);
         memo_slot_of[j] = static_cast<std::uint32_t>(m);
-        const MemoSet& set = memo[m];
-        if (set.way[0].used && set.way[0].pair == pk &&
-            set.way[0].bits == mode_bits) {
-          best[j] = set.way[0].best;
-        } else if (set.way[1].used && set.way[1].pair == pk &&
-                   set.way[1].bits == mode_bits) {
-          best[j] = set.way[1].best;
+        if (const std::int64_t* hit = memo_find(m, pk, mode_bits)) {
+          best[j] = *hit;
         } else {
           miss[miss_count++] = static_cast<std::uint32_t>(j);
         }
@@ -538,23 +542,18 @@ void CompiledPolicyImage::evaluate_batch_staged(
         // the memo state BEFORE any of this chunk's fills, so duplicate
         // keys within one chunk (the read/write alternation) all land in
         // the miss list — the first occurrence fills, the rest hit here.
-        MemoSet& set = memo[memo_slot_of[j]];
-        if (set.way[0].used && set.way[0].pair == pair_keys[j] &&
-            set.way[0].bits == bits[j]) {
-          best[j] = set.way[0].best;
-          continue;
-        }
-        if (set.way[1].used && set.way[1].pair == pair_keys[j] &&
-            set.way[1].bits == bits[j]) {
-          best[j] = set.way[1].best;
+        const std::size_t m = memo_slot_of[j];
+        if (const std::int64_t* hit = memo_find(m, pair_keys[j], bits[j])) {
+          best[j] = *hit;
           continue;
         }
         const SidRequest& request = requests[base + j];
         const std::int64_t b = best_entry_for(request.subject, request.object,
                                               bits[j], wildcard_span);
         best[j] = b;
-        set.way[1] = set.way[0];
-        set.way[0] = MemoSlot{pair_keys[j], bits[j], b, true};
+        if (memo_fill[m] != 0) memo[m][1] = memo[m][0];
+        memo[m][0] = MemoSlot{pair_keys[j], bits[j], b};
+        memo_fill[m] = memo_fill[m] == 0 ? 1 : 2;
       }
     }
     {

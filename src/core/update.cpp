@@ -92,7 +92,7 @@ void UpdateChannel::deliver(std::size_t subscriber, PolicyBundle bundle,
     }
     ++delivered_;
     subscribers_[subscriber](bundle);
-  }, "core.update.deliver");
+  });
 }
 
 }  // namespace psme::core

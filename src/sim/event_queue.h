@@ -1,7 +1,7 @@
 // psme::sim — discrete-event simulation kernel.
 //
-// A Scheduler owns a priority queue of (time, sequence, action) events and
-// executes them in nondecreasing time order. Ties are broken by insertion
+// A Scheduler owns a binary heap of (time, sequence, id, action) events
+// and executes them in nondecreasing time order. Ties are broken by insertion
 // sequence, which makes runs fully deterministic: the same schedule calls
 // always replay in the same order.
 //
@@ -11,8 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -43,13 +42,17 @@ class Scheduler {
 
   /// Schedules `action` to run at absolute time `at`. Scheduling in the
   /// past (at < now) is a programming error and throws std::logic_error.
-  EventId schedule_at(SimTime at, Action action, std::string label = {});
+  /// The optional label names the event at the call site only; it is not
+  /// stored.
+  EventId schedule_at(SimTime at, Action action, std::string_view label = {});
 
   /// Schedules `action` to run `delay` after the current time.
-  EventId schedule_in(SimDuration delay, Action action, std::string label = {});
+  EventId schedule_in(SimDuration delay, Action action,
+                      std::string_view label = {});
 
-  /// Cancels a pending event. Returns true if the event existed and had not
-  /// yet fired. Cancelling an already-executed or unknown id is a no-op.
+  /// Cancels a pending event. Returns true if the event was pending and not
+  /// yet cancelled. Cancelling an already-executed, already-cancelled or
+  /// unknown id is a no-op that returns false.
   bool cancel(EventId id) noexcept;
 
   /// Runs events until the queue is empty. Returns the number executed.
@@ -64,7 +67,7 @@ class Scheduler {
   bool step();
 
   /// Number of events waiting (including cancelled-but-not-reaped ones).
-  [[nodiscard]] std::size_t pending() const noexcept;
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
@@ -74,8 +77,7 @@ class Scheduler {
     SimTime at;
     std::uint64_t seq;  // tie-breaker: FIFO among equal times
     EventId id;
-    Action action;
-    std::string label;
+    Action action;      // empty once cancelled
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -84,10 +86,7 @@ class Scheduler {
     }
   };
 
-  bool is_cancelled(EventId id) const noexcept;
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<EventId> cancelled_;  // usually tiny; linear scan is fine
+  std::vector<Event> heap_;  // std::push_heap / std::pop_heap under Later
   SimTime now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
@@ -100,7 +99,7 @@ class PeriodicTask {
  public:
   /// Starts immediately at `first` (absolute), then every `period`.
   PeriodicTask(Scheduler& sched, SimTime first, SimDuration period,
-               std::function<void()> body, std::string label = {});
+               std::function<void()> body);
   ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;
@@ -118,7 +117,6 @@ class PeriodicTask {
   Scheduler& sched_;
   SimDuration period_;
   std::function<void()> body_;
-  std::string label_;
   EventId pending_ = 0;
   bool stopped_ = false;
   std::uint64_t fired_ = 0;

@@ -16,7 +16,7 @@ std::string_view to_string(TraceLevel level) noexcept {
 
 void Trace::record(SimTime at, TraceLevel level, std::string component,
                    std::string message) {
-  if (level < min_level_) return;
+  if (!records(level)) return;
   entries_.push_back(
       TraceEntry{at, level, std::move(component), std::move(message)});
 }

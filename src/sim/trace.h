@@ -38,9 +38,14 @@ class Trace {
   explicit Trace(TraceLevel min_level = TraceLevel::kInfo)
       : min_level_(min_level) {}
 
-  /// Records an entry if `level >= min_level()`.
+  /// Records an entry if records(level).
   void record(SimTime at, TraceLevel level, std::string component,
               std::string message);
+
+  /// True when record() keeps `level`: ask before formatting a message.
+  [[nodiscard]] bool records(TraceLevel level) const noexcept {
+    return level >= min_level_;
+  }
 
   [[nodiscard]] TraceLevel min_level() const noexcept { return min_level_; }
   void set_min_level(TraceLevel level) noexcept { min_level_ = level; }

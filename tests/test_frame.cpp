@@ -3,11 +3,95 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
 #include "can/frame.h"
+#include "sim/rng.h"
 
 namespace psme::can {
 namespace {
+
+// Reference bitstream: the original std::vector<bool> construction of
+// CRC-15 and the stuffed wire length, kept verbatim as an oracle for the
+// fixed-buffer implementation.
+namespace reference {
+
+void push_bits(std::vector<bool>& bits, std::uint32_t value, int width) {
+  for (int i = width - 1; i >= 0; --i) {
+    bits.push_back(((value >> i) & 1u) != 0);
+  }
+}
+
+void append_bitstream(const Frame& f, std::vector<bool>& bits) {
+  bits.push_back(false);
+  if (!f.id().is_extended()) {
+    push_bits(bits, f.id().raw(), 11);
+    bits.push_back(f.is_remote());
+    bits.push_back(false);
+    bits.push_back(false);
+  } else {
+    push_bits(bits, (f.id().raw() >> 18) & 0x7FF, 11);
+    bits.push_back(true);
+    bits.push_back(true);
+    push_bits(bits, f.id().raw() & 0x3FFFF, 18);
+    bits.push_back(f.is_remote());
+    bits.push_back(false);
+    bits.push_back(false);
+  }
+  push_bits(bits, f.dlc(), 4);
+  for (const std::uint8_t byte : f.data()) push_bits(bits, byte, 8);
+}
+
+std::uint16_t crc15(const Frame& f) {
+  std::vector<bool> bits;
+  append_bitstream(f, bits);
+  std::uint16_t crc = 0;
+  for (const bool bit : bits) {
+    const bool crc_next = bit ^ (((crc >> 14) & 1u) != 0);
+    crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
+    if (crc_next) crc ^= 0x4599;
+  }
+  return crc;
+}
+
+std::size_t wire_bits(const Frame& f) {
+  std::vector<bool> bits;
+  append_bitstream(f, bits);
+  push_bits(bits, crc15(f), 15);
+  std::size_t stuffed = 0;
+  int run = 0;
+  bool prev = false;
+  bool first = true;
+  for (bool b : bits) {
+    if (!first && b == prev) {
+      ++run;
+      if (run == 5) {
+        ++stuffed;
+        prev = !b;
+        run = 1;
+        continue;
+      }
+    } else {
+      run = 1;
+    }
+    prev = b;
+    first = false;
+  }
+  return bits.size() + stuffed + 1 + 1 + 1 + 7 + 3;
+}
+
+}  // namespace reference
+
+/// A data frame (seeded payload) or an RTR frame of `dlc` on `id`.
+Frame seeded_frame(CanId id, std::uint8_t dlc, bool remote, sim::Rng& rng) {
+  if (remote) return Frame::remote(id, dlc);
+  std::array<std::uint8_t, Frame::kMaxData> data{};
+  for (std::uint8_t i = 0; i < dlc; ++i) {
+    data[i] = static_cast<std::uint8_t>(rng.uniform(0, 0xFF));
+  }
+  return Frame(id, std::span<const std::uint8_t>(data.data(), dlc));
+}
 
 TEST(CanId, StandardBounds) {
   EXPECT_NO_THROW(CanId::standard(0));
@@ -109,6 +193,42 @@ TEST(Frame, WireBitsWithinProtocolBounds) {
     const std::size_t unstuffed = 34 + 8u * n + 13;
     EXPECT_GE(f.wire_bits(), unstuffed);
     EXPECT_LE(f.wire_bits(), unstuffed + (34 + 8u * n) / 4 + 1);
+  }
+}
+
+TEST(Frame, EveryStandardIdMatchesBitstreamOracle) {
+  sim::Rng rng(0xF4A3);
+  for (std::uint32_t raw = 0; raw <= CanId::kMaxStandard; ++raw) {
+    for (std::uint8_t dlc = 0; dlc <= Frame::kMaxData; ++dlc) {
+      for (const bool remote : {false, true}) {
+        const Frame f = seeded_frame(CanId::standard(raw), dlc, remote, rng);
+        ASSERT_EQ(f.crc15(), reference::crc15(f)) << f.to_string();
+        ASSERT_EQ(f.wire_bits(), reference::wire_bits(f)) << f.to_string();
+      }
+    }
+  }
+}
+
+TEST(Frame, SeededExtendedIdsMatchBitstreamOracle) {
+  sim::Rng rng(0xE47D);
+  for (int i = 0; i < 10'000; ++i) {
+    const auto raw =
+        static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxExtended));
+    const auto dlc = static_cast<std::uint8_t>(rng.uniform(0, Frame::kMaxData));
+    const bool remote = rng.chance(0.5);
+    const Frame f = seeded_frame(CanId::extended(raw), dlc, remote, rng);
+    ASSERT_EQ(f.crc15(), reference::crc15(f)) << f.to_string();
+    ASSERT_EQ(f.wire_bits(), reference::wire_bits(f)) << f.to_string();
+  }
+  // The longest stuffed region: extended id, 8 data bytes of one level.
+  for (const std::uint8_t fill : {0x00, 0xFF}) {
+    const std::array<std::uint8_t, 8> data{fill, fill, fill, fill,
+                                           fill, fill, fill, fill};
+    for (const std::uint32_t raw : {0u, CanId::kMaxExtended}) {
+      const Frame f(CanId::extended(raw), data);
+      EXPECT_EQ(f.crc15(), reference::crc15(f)) << f.to_string();
+      EXPECT_EQ(f.wire_bits(), reference::wire_bits(f)) << f.to_string();
+    }
   }
 }
 

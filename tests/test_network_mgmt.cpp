@@ -55,7 +55,7 @@ struct NmWorld {
     for (auto& station : stations) {
       NmParticipant* raw = station.get();
       sched.schedule_in(std::chrono::milliseconds{5 * raw->address()},
-                        [raw] { raw->start(); }, "test.nm.start");
+                        [raw] { raw->start(); });
     }
   }
 
@@ -101,7 +101,7 @@ TEST(NmSecurity, ImpersonationTriggersReassertion) {
   for (int i = 0; i < 3; ++i) {
     world.sched.schedule_in(std::chrono::milliseconds{i * 20}, [&world] {
       world.injector->submit(make_nm_frame(1, 2, kOpRing));
-    }, "test.nm.forge");
+    });
   }
   world.sched.run_until(world.sched.now() + 500ms);
 

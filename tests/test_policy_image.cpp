@@ -274,6 +274,93 @@ TEST(PolicyImageBatch, ShuffledBatchByteIdenticalToScalar) {
                std::invalid_argument);
 }
 
+// Batch sizes around the 256-request chunk and the 256-set, 2-way memo:
+// 513 distinct (pair, mode) keys cannot fit 2 per set, so some set holds
+// three and evicts a filled way; the repeat-heavy streams re-hit and
+// alternate read/write on the same keys inside and across chunks.
+TEST(PolicyImageBatch, EveryBatchSizeMatchesScalarAcrossMemoEvictions) {
+  sim::Rng rng(0xB47C);
+  std::vector<std::string> subjects;
+  std::vector<std::string> objects;
+  for (int i = 0; i < 24; ++i) subjects.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) objects.push_back("o" + std::to_string(i));
+  const std::vector<std::string> modes = {"m1", "m2", "m3"};
+
+  PolicySet set("memo", 1);
+  for (std::size_t i = 0; i < 160; ++i) {
+    core::PolicyRule rule;
+    rule.id = "r" + std::to_string(i);
+    // The first rules name every identity, so each resolves to a SID.
+    const std::size_t s = rng.uniform(0, subjects.size() - 1);
+    const std::size_t o = rng.uniform(0, objects.size() - 1);
+    rule.subject = i < subjects.size() ? subjects[i]
+                   : rng.chance(0.2)   ? "*"
+                                       : subjects[s];
+    rule.object = i < objects.size() ? objects[i]
+                  : rng.chance(0.2)  ? "*"
+                                     : objects[o];
+    rule.permission = static_cast<threat::Permission>(rng.uniform(0, 3));
+    rule.priority = static_cast<int>(rng.uniform(0, 6)) - 3;
+    for (const auto& mode : modes) {
+      if (rng.chance(0.3)) rule.modes.push_back(threat::ModeId{mode});
+    }
+    set.add_rule(std::move(rule));
+  }
+  const CompiledPolicyImage image = CompiledPolicyImage::from_policy_set(set);
+
+  // Every (subject, object, mode) key once, shuffled: 24 x 12 x 4 = 1152.
+  std::vector<SidRequest> keys;
+  for (const auto& subject : subjects) {
+    for (const auto& object : objects) {
+      for (const std::string mode : {"", "m1", "m2", "m3"}) {
+        AccessRequest request;
+        request.subject = subject;
+        request.object = object;
+        request.mode = threat::ModeId{mode};
+        keys.push_back(image.resolve(request));
+      }
+    }
+  }
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.uniform(0, i)]);
+  }
+
+  const auto check = [&](const std::vector<SidRequest>& requests,
+                         const std::string& context) {
+    std::vector<Decision> decisions(requests.size());
+    std::vector<std::uint8_t> flags(requests.size());
+    image.evaluate_batch(requests, decisions);
+    image.evaluate_batch_allowed(requests, flags);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Decision scalar = image.evaluate(requests[i]);
+      expect_same_decision(decisions[i], scalar,
+                           context + " element " + std::to_string(i));
+      ASSERT_EQ(flags[i] != 0, scalar.allowed)
+          << context << " element " << i;
+    }
+  };
+
+  for (const std::size_t n : {1u, 2u, 255u, 256u, 257u, 513u}) {
+    // All-distinct keys.
+    std::vector<SidRequest> distinct(keys.begin(), keys.begin() + n);
+    for (SidRequest& request : distinct) {
+      request.access = rng.chance(0.5) ? AccessType::kRead : AccessType::kWrite;
+    }
+    check(distinct, "distinct n=" + std::to_string(n));
+
+    // Repeat-heavy: n draws from a pool of n/3 + 1 keys, so most keys
+    // recur (hits, second-way hits, and re-fills after eviction).
+    const std::size_t pool = n / 3 + 1;
+    std::vector<SidRequest> repeats;
+    for (std::size_t i = 0; i < n; ++i) {
+      SidRequest request = keys[rng.uniform(0, pool - 1)];
+      request.access = rng.chance(0.5) ? AccessType::kRead : AccessType::kWrite;
+      repeats.push_back(request);
+    }
+    check(repeats, "repeats n=" + std::to_string(n));
+  }
+}
+
 // ------------------------- batched probe paths: parity with scalar paths
 
 TEST(ProbeBackends, ShuffledBatchByteIdenticalAcrossAllBackends) {

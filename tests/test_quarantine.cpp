@@ -190,8 +190,7 @@ TEST(Quarantine, PersistentAlertStormEscalatesToFailSafe) {
   for (std::uint32_t probe = 0; probe < 24; ++probe) {
     const can::Frame frame = can::make_frame(0x600 + probe, {0x01});
     world.sched.schedule_in(std::chrono::milliseconds{probe * 10},
-                            [&attacker, frame] { attacker.inject(frame); },
-                            "test.fuzz");
+                            [&attacker, frame] { attacker.inject(frame); });
   }
   world.sched.run_until(world.sched.now() + 1s);
 

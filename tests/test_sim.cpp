@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulation kernel (psme::sim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -76,6 +78,110 @@ TEST(Scheduler, DoubleCancelReturnsFalse) {
   EXPECT_FALSE(sched.cancel(id));
 }
 
+TEST(Scheduler, CancelAfterFireReturnsFalse) {
+  Scheduler sched;
+  int ran = 0;
+  const EventId fired = sched.schedule_in(10ns, [&] { ++ran; });
+  EventId self = 0;
+  bool self_cancel = true;
+  self = sched.schedule_in(20ns, [&] { self_cancel = sched.cancel(self); });
+  sched.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sched.cancel(fired));
+  EXPECT_FALSE(self_cancel);  // an event cannot cancel itself mid-run
+  EXPECT_FALSE(sched.cancel(self));
+
+  sched.schedule_in(5ns, [&] { ++ran; });
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+// A callable that counts its copies; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies_in, int* calls_in)
+      : copies(copies_in), calls(calls_in) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Scheduler, StepNeverCopiesAnAction) {
+  Scheduler sched;
+  Rng rng(5150);
+  int copies = 0;
+  int calls = 0;
+  for (int i = 0; i < 64; ++i) {
+    const SimTime at{static_cast<std::int64_t>(rng.uniform(0, 40))};
+    sched.schedule_at(at, Scheduler::Action(CopyCounter(&copies, &calls)));
+  }
+  const int after_scheduling = copies;
+  EXPECT_EQ(sched.run(), 64u);
+  EXPECT_EQ(calls, 64);
+  EXPECT_EQ(copies, after_scheduling);
+}
+
+// Property: with many equal timestamps, cancellations (of pending, fired
+// and already-cancelled events) and events that schedule more events at
+// now(), execution order is exactly (time, insertion order) — the stable
+// sort by time of every event that was scheduled and not cancelled.
+TEST(Scheduler, ExecutesInTimeThenInsertionOrderUnderChurn) {
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    Scheduler sched;
+    Rng rng(seed);
+    enum class State { kPending, kFired, kCancelled };
+    struct Record {
+      SimTime at;
+      EventId id;
+      State state;
+    };
+    std::vector<Record> records;  // index = insertion order
+    std::vector<std::size_t> executed;
+
+    std::function<void(SimTime)> add = [&](SimTime at) {
+      const std::size_t index = records.size();
+      records.push_back(Record{at, 0, State::kPending});
+      records[index].id = sched.schedule_at(at, [&, index] {
+        records[index].state = State::kFired;
+        executed.push_back(index);
+        if (records.size() < 600 && rng.chance(0.3)) add(sched.now());
+        if (records.size() < 600 && rng.chance(0.3)) {
+          add(sched.now() + SimDuration{
+                                static_cast<std::int64_t>(rng.uniform(0, 3))});
+        }
+        if (rng.chance(0.25)) {
+          Record& victim = records[rng.uniform(0, records.size() - 1)];
+          const bool cancelled = sched.cancel(victim.id);
+          EXPECT_EQ(cancelled, victim.state == State::kPending);
+          if (cancelled) victim.state = State::kCancelled;
+        }
+      });
+    };
+    for (int i = 0; i < 200; ++i) {
+      add(SimTime{static_cast<std::int64_t>(rng.uniform(0, 20))});
+    }
+    sched.run();
+
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_NE(records[i].state, State::kPending) << "event " << i;
+      if (records[i].state == State::kFired) expected.push_back(i);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return records[a].at < records[b].at;
+                     });
+    EXPECT_EQ(executed, expected) << "seed " << seed;
+    EXPECT_EQ(sched.pending(), 0u);
+    EXPECT_EQ(sched.executed(), executed.size());
+  }
+}
+
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
   Scheduler sched;
   int fired = 0;
@@ -120,6 +226,28 @@ TEST(PeriodicTask, StopFromInsideBody) {
   sched.run_until(SimTime{1000ns});
   EXPECT_EQ(count, 3);
   EXPECT_FALSE(task.running());
+}
+
+TEST(PeriodicTask, SelfStopLeavesLaterEventsRunning) {
+  Scheduler sched;
+  int count = 0;
+  PeriodicTask task(
+      sched, SimTime{0ns}, SimDuration{10ns},
+      [&] {
+        if (++count == 2) task.stop();
+      });
+  std::vector<SimTime> later;
+  for (int i = 1; i <= 5; ++i) {
+    sched.schedule_at(SimTime{std::chrono::nanoseconds{15 * i}},
+                      [&] { later.push_back(sched.now()); });
+  }
+  sched.run();
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(later, (std::vector<SimTime>{SimTime{15ns}, SimTime{30ns},
+                                         SimTime{45ns}, SimTime{60ns},
+                                         SimTime{75ns}}));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.executed(), 7u);
 }
 
 TEST(PeriodicTask, NonPositivePeriodThrows) {

@@ -336,6 +336,175 @@ TEST(WireMacIsoTp, FlowTimeoutForgetsVerdict) {
   EXPECT_EQ(mac.stats().isotp_errors, 1u);
 }
 
+// -- batch vs per-frame fuzz ------------------------------------------------
+
+/// Records every drop in order, as (id, extended, reason).
+struct DropLog final : WireDropSink {
+  struct Drop {
+    std::uint32_t raw;
+    bool extended;
+    WireDropReason reason;
+    friend bool operator==(const Drop&, const Drop&) = default;
+  };
+  std::vector<Drop> drops;
+  void on_wire_drop(const Frame& frame, WireDropReason reason,
+                    sim::SimTime /*at*/) override {
+    drops.push_back({frame.id().raw(), frame.id().is_extended(), reason});
+  }
+};
+
+/// Classic ids of WireWorld::table(), ISO-TP ids 0x500 (allowed) and
+/// 0x510 (denied), J1939 PGNs bound per source and per list.
+[[nodiscard]] WireBindingTable mixed_table(WireWorld& world) {
+  WireBindingTable::Builder b;
+  const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
+  const std::array<mac::Sid, 1> ivi{world.sid("ivi")};
+  const std::array<mac::Sid, 2> ivi_or_diag{world.sid("ivi"),
+                                            world.sid("diag")};
+  b.bind_standard(0x100, ecu, world.sid("engine"), core::AccessType::kWrite);
+  b.bind_standard(0x101, ivi, world.sid("telemetry"), core::AccessType::kRead);
+  b.bind_standard(0x110, ivi_or_diag, world.sid("doors"),
+                  core::AccessType::kWrite);
+  b.bind_standard(0x120, ivi, world.sid("engine"), core::AccessType::kWrite);
+  b.pass_standard_range(0x420, 0x43F);
+  b.bind_standard(0x500, ecu, world.sid("engine"), core::AccessType::kWrite,
+                  /*isotp=*/true);
+  b.bind_standard(0x510, ivi, world.sid("engine"), core::AccessType::kWrite,
+                  /*isotp=*/true);
+  b.bind_pgn(0xFEF1, {}, world.sid("engine"), core::AccessType::kWrite);
+  b.j1939_source(0x03, world.sid("ecu"));
+  b.j1939_source(0x42, world.sid("ivi"));
+  b.bind_pgn(0xDA00, ecu, world.sid("engine"), core::AccessType::kWrite);
+  b.pass_pgn(0xFECA);
+  return b.build();
+}
+
+/// Seeded traffic: classic and J1939 frames, ISO-TP flows on two ids
+/// with their frames interleaved, plus transport faults — random PCI
+/// bytes, malformed SFs and valid SFs in the middle of a flow, skipped
+/// and repeated CFs.
+[[nodiscard]] std::vector<Frame> mixed_stream(sim::Rng& rng,
+                                              std::size_t count) {
+  static const std::uint32_t kClassic[] = {0x100, 0x101, 0x110, 0x120,
+                                           0x420, 0x43F, 0x300, 0x6FF};
+  static const std::uint32_t kJ1939[] = {
+      0x18FEF103, 0x18FEF142, 0x18FEF199, 0x18DA10F1,
+      0x18DA22F1, 0x18DB10F1, 0x18FECA00, 0x0CF00400};
+  static const std::uint32_t kFlowIds[] = {0x500, 0x510};
+  std::vector<Frame> flow[2];
+  std::size_t next[2] = {0, 0};
+  std::vector<Frame> frames;
+  const auto byte = [&] {
+    return static_cast<std::uint8_t>(rng.uniform(0, 0xFF));
+  };
+  while (frames.size() < count) {
+    const std::uint64_t pick = rng.uniform(0, 99);
+    const std::size_t f = rng.uniform(0, 1);
+    const std::uint32_t flow_id = kFlowIds[f];
+    if (pick < 20) {
+      frames.push_back(make_frame(kClassic[rng.uniform(0, 7)], {byte()}));
+    } else if (pick < 35) {
+      frames.push_back(Frame(CanId::extended(kJ1939[rng.uniform(0, 7)]),
+                             std::vector<std::uint8_t>{byte(), byte()}));
+    } else if (pick < 75) {
+      if (next[f] >= flow[f].size()) {
+        std::vector<std::uint8_t> payload(rng.uniform(1, 90));
+        for (std::uint8_t& b : payload) b = byte();
+        flow[f] = isotp_segment(CanId::standard(flow_id), payload);
+        next[f] = 0;
+      }
+      frames.push_back(flow[f][next[f]++]);
+    } else if (pick < 82) {
+      std::vector<std::uint8_t> data(rng.uniform(0, 8));
+      for (std::uint8_t& b : data) b = byte();
+      frames.push_back(Frame(CanId::standard(flow_id), data));
+    } else if (pick < 88) {
+      // Malformed SF (length 0): an error that leaves an open flow open.
+      frames.push_back(make_frame(flow_id, {0x00, byte()}));
+    } else if (pick < 93) {
+      // Valid SF: a whole message that tears down any open flow.
+      frames.push_back(make_frame(flow_id, {0x02, byte(), byte()}));
+    } else if (pick < 96) {
+      frames.push_back(make_frame(flow_id, {0x30, 0x00, 0x00}));  // FC
+    } else if (next[f] < flow[f].size()) {
+      // Skip a CF (the next one arrives out of sequence) or repeat one.
+      if (rng.chance(0.5)) {
+        ++next[f];
+      } else if (next[f] > 0) {
+        frames.push_back(flow[f][next[f] - 1]);
+      }
+    }
+  }
+  return frames;
+}
+
+TEST(WireMacDifferential, BatchOf256MatchesPerFrameAdmitUnderFuzz) {
+  for (const std::uint64_t seed : {0x5EEDu, 0xF00Du, 0x7777u}) {
+    WireWorld world;
+    WireMac batched(mixed_table(world), world.engine);
+    WireMac scalar(mixed_table(world), world.engine);
+    DropLog batched_drops;
+    DropLog scalar_drops;
+    batched.set_drop_sink(&batched_drops);
+    scalar.set_drop_sink(&scalar_drops);
+
+    sim::Rng rng(seed);
+    const std::vector<Frame> stream = mixed_stream(rng, 256 * 48);
+    constexpr std::size_t kBatch = 256;
+    sim::SimTime at{};
+    std::vector<std::uint8_t> got(kBatch);
+    for (std::size_t base = 0; base < stream.size(); base += kBatch) {
+      // Mostly within the CF timeout, sometimes past it.
+      at += rng.chance(0.1) ? 1500ms
+                            : std::chrono::milliseconds{rng.uniform(0, 300)};
+      const std::span<const Frame> batch(stream.data() + base, kBatch);
+      batched.adjudicate_batch(batch, at, got);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        ASSERT_EQ(got[i] != 0, scalar.admit(batch[i], at))
+            << "seed " << seed << " frame " << base + i << " "
+            << batch[i].to_string();
+      }
+    }
+
+    const WireMacStats& b = batched.stats();
+    const WireMacStats& s = scalar.stats();
+    EXPECT_EQ(b.frames, s.frames);
+    EXPECT_EQ(b.passed, s.passed);
+    EXPECT_EQ(b.adjudicated, s.adjudicated);
+    EXPECT_EQ(b.sid_requests, s.sid_requests);
+    EXPECT_EQ(b.allowed, s.allowed);
+    EXPECT_EQ(b.flow_starts, s.flow_starts);
+    EXPECT_EQ(b.flow_frames, s.flow_frames);
+    EXPECT_EQ(b.flow_timeouts, s.flow_timeouts);
+    EXPECT_EQ(batched.drops_by_reason(), scalar.drops_by_reason());
+    EXPECT_EQ(batched_drops.drops, scalar_drops.drops);
+
+    // Conservation: every presented frame is admitted or dropped for
+    // exactly one reason (flow timeouts drop no frame).
+    std::uint64_t dropped = 0;
+    for (std::size_t r = 0; r < batched.drops_by_reason().size(); ++r) {
+      if (r != static_cast<std::size_t>(WireDropReason::kFlowTimeout)) {
+        dropped += batched.drops_by_reason()[r];
+      }
+    }
+    EXPECT_EQ(b.frames, stream.size());
+    EXPECT_EQ(b.frames, b.allowed + dropped);
+
+    // The stream reaches the rare paths: an SF on an open flow's id, a
+    // flow timeout, and the fail-closed CF whose flow lost its verdict
+    // (a flow-denied drop on 0x500, whose flows are always allowed).
+    EXPECT_GT(batched.isotp_stats().restarts, 0u);
+    EXPECT_GT(b.flow_timeouts, 0u);
+    const auto fail_closed = std::count_if(
+        batched_drops.drops.begin(), batched_drops.drops.end(),
+        [](const DropLog::Drop& d) {
+          return d.raw == 0x500 && !d.extended &&
+                 d.reason == WireDropReason::kFlowDenied;
+        });
+    EXPECT_GT(fail_closed, 0) << "seed " << seed;
+  }
+}
+
 // -- drop telemetry ---------------------------------------------------------
 
 TEST(WireDropMonitor, CountsByReasonAndId) {
