@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "mac/mac_engine.h"
-
 namespace psme::can {
 
 namespace {
@@ -118,21 +116,9 @@ WireBindingTable WireBindingTable::Builder::build() {
 
 // -- WireMac ---------------------------------------------------------------
 
-WireMac::WireMac(WireBindingTable table, const mac::MacEngine& engine)
-    : table_(std::move(table)), engine_(&engine) {}
-
 WireMac::WireMac(WireBindingTable table,
                  const core::CompiledPolicyImage& image)
-    : table_(std::move(table)), image_(&image) {}
-
-void WireMac::backend_evaluate(std::span<const core::SidRequest> requests,
-                               std::span<std::uint8_t> out) {
-  if (engine_ != nullptr) {
-    engine_->evaluate_batch_allowed_shared(requests, out);
-  } else {
-    image_->evaluate_batch_allowed(requests, out);
-  }
-}
+    : table_(std::move(table)), image_(image) {}
 
 void WireMac::count_drop(const Frame& frame, WireDropReason reason,
                          sim::SimTime at) {
@@ -252,8 +238,10 @@ WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
       }
       const auto verdict = flow_verdicts_.find(key);
       if (verdict == flow_verdicts_.end()) {
-        // Conversation open but no verdict: impossible via this class's
-        // own bookkeeping; fail closed if it ever happens.
+        // Conversation open but no verdict: a malformed SF mid-flow is a
+        // transport error that erased the verdict (forget_flow) while the
+        // reassembler kept the flow open, so its next CF lands here.
+        // Fail closed.
         plan.kind = Plan::Kind::kDrop;
         plan.reason = WireDropReason::kFlowDenied;
         return plan;
@@ -314,7 +302,7 @@ void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
 
   lane_verdicts_.resize(lanes_.size());
   if (!lanes_.empty()) {
-    backend_evaluate(lanes_, lane_verdicts_);
+    image_.evaluate_batch_allowed(lanes_, lane_verdicts_);
   }
 
   // Apply pass: resolve each plan to a verdict, in stream order so flow

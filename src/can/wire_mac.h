@@ -24,16 +24,13 @@
 // processor sees the frame, counted into ControllerStats::rx_wire_denied
 // and reported per-frame to a WireDropSink (monitor::WireDropMonitor).
 //
-// Two interchangeable backends answer the batches:
-//   * mac::MacEngine — via evaluate_batch_allowed_shared, the seqlock
-//     concurrent-read path. Any number of per-bus WireMacs may share one
-//     engine across threads while the owner reloads policy; each batch
-//     pins one policy generation (never a mix).
-//   * core::CompiledPolicyImage — via evaluate_batch_allowed, for sealed
-//     per-bus images with mode gating (the table's mode SID stamps every
-//     request). Immutable, so concurrent adjudication is trivially safe.
-// One WireMac instance itself is single-threaded (it owns reassembly and
-// flow-verdict state); concurrency is per-bus, one WireMac per bus.
+// The backend is a sealed core::CompiledPolicyImage: each batch makes one
+// evaluate_batch_allowed call with the table's mode SID stamped on every
+// request, so mode-conditional rules resolve on the wire. The image is
+// immutable, so any number of per-bus WireMacs may adjudicate against
+// one image from different threads (DESIGN.md "Concurrency model"). One
+// WireMac itself is owner-only: it owns reassembly and flow-verdict
+// state, so each bus (thread) needs its own.
 #pragma once
 
 #include <array>
@@ -48,10 +45,6 @@
 #include "core/policy_image.h"
 #include "mac/sid_table.h"
 #include "sim/time.h"
-
-namespace psme::mac {
-class MacEngine;
-}  // namespace psme::mac
 
 namespace psme::can {
 
@@ -199,8 +192,7 @@ class WireBindingTable::Builder {
   /// Maps a J1939 source address to its subject SID.
   Builder& j1939_source(std::uint8_t address, mac::Sid subject);
 
-  /// Mode SID stamped on every request (image backend only; the
-  /// engine backend ignores request modes). Default kNullSid =
+  /// Mode SID stamped on every request. Default kNullSid =
   /// mode-independent.
   Builder& set_mode(mac::Sid mode_sid);
 
@@ -227,18 +219,16 @@ struct WireMacStats {
   std::uint64_t flow_denied_frames = 0;  // CFs dropped under a denied flow
   std::uint64_t isotp_errors = 0;   // transport-layer drops
   std::uint64_t flow_timeouts = 0;  // flows expired awaiting a CF
+
+  friend bool operator==(const WireMacStats&, const WireMacStats&) = default;
 };
 
 /// The wire-rate adjudicator for one bus. See file comment.
 class WireMac {
  public:
-  /// Concurrent-shared backend: adjudicates through the engine's
-  /// seqlock read path. The engine must outlive the WireMac; policy
-  /// reloads on the owner thread are safe mid-batch.
-  WireMac(WireBindingTable table, const mac::MacEngine& engine);
-
-  /// Sealed-image backend: adjudicates through the image's staged batch
-  /// pipeline with the table's mode SID stamped on every request.
+  /// Adjudicates through the image's staged batch pipeline with the
+  /// table's mode SID stamped on every request. The image must outlive
+  /// the WireMac.
   WireMac(WireBindingTable table, const core::CompiledPolicyImage& image);
 
   WireMac(const WireMac&) = delete;
@@ -305,9 +295,6 @@ class WireMac {
     std::uint64_t flow_key = 0;
   };
 
-  void backend_evaluate(std::span<const core::SidRequest> requests,
-                        std::span<std::uint8_t> out);
-
   /// Builds the plan and SID lanes for frames[i]; appends to lanes_.
   [[nodiscard]] Plan classify(const Frame& frame, sim::SimTime at);
 
@@ -318,8 +305,7 @@ class WireMac {
   void count_drop(const Frame& frame, WireDropReason reason, sim::SimTime at);
 
   WireBindingTable table_;
-  const mac::MacEngine* engine_ = nullptr;
-  const core::CompiledPolicyImage* image_ = nullptr;
+  const core::CompiledPolicyImage& image_;
 
   IsoTpReassembler reassembler_;
   /// Verdict of the open ISO-TP flow on an id (key as in isotp.cpp).

@@ -249,6 +249,7 @@ can::WireBindingTable BindingCompiler::build_wire_table(
 hpe::HpeConfig BindingCompiler::build_hpe_config(const std::string& node) {
   hpe::HpeConfig config;
   config.mode_frame_id = msg::kModeChange;
+  config.policy_version = image_.version();
   if (options_.mode_conditional) {
     for (CarMode mode : kAllModes) {
       config.per_mode[static_cast<std::uint8_t>(mode)] =

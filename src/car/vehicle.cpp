@@ -141,45 +141,33 @@ void Vehicle::set_mode(CarMode mode) { gateway_->change_mode(mode); }
 
 bool Vehicle::apply_policy_update(const core::PolicyBundle& bundle,
                                   const core::PolicySigner& verifier) {
-  switch (config_.enforcement) {
-    case Enforcement::kHpe: {
-      // One compiler for the whole fleet of per-node configs; its memo
-      // carries every shared policy verdict across the eight nodes.
-      BindingCompiler update_binding(bundle.set, binding_options());
-      bool all_ok = true;
-      for (auto& [name, station] : stations_) {
-        if (!station.engine) continue;
-        const bool ok = station.engine->apply_update(
-            bundle, verifier, update_binding.build_hpe_config(name));
-        all_ok = all_ok && ok;
-      }
-      if (all_ok) {
-        policy_ = bundle.set;
-        reset_binding_compiler();
-      }
-      return all_ok;
-    }
-    case Enforcement::kSoftwareFilter: {
-      if (!verifier.verify(bundle.set, bundle.tag) ||
-          bundle.version() <= policy_.version()) {
-        return false;
-      }
-      policy_ = bundle.set;
-      reset_binding_compiler();
-      install_software_filters(mode());
-      return true;
-    }
-    case Enforcement::kNone: {
-      if (!verifier.verify(bundle.set, bundle.tag) ||
-          bundle.version() <= policy_.version()) {
-        return false;
-      }
-      policy_ = bundle.set;  // recorded, but nothing enforces it
-      reset_binding_compiler();
-      return true;
-    }
+  // One authenticity and rollback gate for every regime. The HPEs,
+  // provisioned at this policy's version, repeat both checks in
+  // apply_update.
+  if (!verifier.verify(bundle.set, bundle.tag) ||
+      bundle.version() <= policy_.version()) {
+    return false;
   }
-  return false;
+  if (config_.enforcement == Enforcement::kHpe) {
+    // One compiler for the whole fleet of per-node configs; its memo
+    // carries every shared policy verdict across the eight nodes.
+    BindingCompiler update_binding(bundle.set, binding_options());
+    bool all_ok = true;
+    for (auto& [name, station] : stations_) {
+      if (!station.engine) continue;
+      const bool ok = station.engine->apply_update(
+          bundle, verifier, update_binding.build_hpe_config(name));
+      all_ok = all_ok && ok;
+    }
+    if (!all_ok) return false;
+  }
+  // Under kNone the policy is only recorded; nothing enforces it.
+  policy_ = bundle.set;
+  reset_binding_compiler();
+  if (config_.enforcement == Enforcement::kSoftwareFilter) {
+    install_software_filters(mode());
+  }
+  return true;
 }
 
 std::uint64_t Vehicle::total_hpe_blocks() const noexcept {

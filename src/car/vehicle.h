@@ -102,10 +102,11 @@ class Vehicle {
     return *binding_;
   }
 
-  /// Applies an OTA policy update to every enforcement point. With the HPE
-  /// regime this goes through each engine's authenticated update path;
-  /// with software filters the vehicle firmware verifies and reprograms.
-  /// Returns true when the update was accepted everywhere.
+  /// Applies an OTA policy update to every enforcement point. In every
+  /// regime the vehicle first verifies the bundle and refuses any version
+  /// not newer than its own. The HPE regime then goes through each
+  /// engine's authenticated update path; software filters are
+  /// reprogrammed. Returns true when the update was accepted everywhere.
   bool apply_policy_update(const core::PolicyBundle& bundle,
                            const core::PolicySigner& verifier);
 

@@ -131,7 +131,7 @@ bool HardwarePolicyEngine::apply_update(const core::PolicyBundle& bundle,
     }
     return false;
   }
-  if (bundle.version() <= policy_version_) {
+  if (bundle.version() <= config_.policy_version) {
     ++stats_.tamper_attempts;
     if (trace_ != nullptr) {
       trace_->record(sim::kSimStart, sim::TraceLevel::kError, "hpe." + name_,
@@ -140,8 +140,8 @@ bool HardwarePolicyEngine::apply_update(const core::PolicyBundle& bundle,
     return false;
   }
   config_ = std::move(new_config);
+  config_.policy_version = bundle.version();
   refresh_active_lists();
-  policy_version_ = bundle.version();
   return true;
 }
 

@@ -100,6 +100,10 @@ struct HpeConfig {
   /// Simulated lookup cost in hardware clock cycles, accounted per frame
   /// (a CAM lookup is 1-2 cycles; the default is deliberately pessimistic).
   std::uint32_t decision_cycles = 4;
+  /// Version of the policy the lists were derived from. Provisioned with
+  /// the lists; apply_update accepts only a strictly newer bundle and
+  /// records the bundle's version here.
+  std::uint64_t policy_version = 1;
 };
 
 class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
@@ -151,7 +155,7 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   }
   [[nodiscard]] std::uint8_t current_mode() const noexcept { return mode_; }
   [[nodiscard]] std::uint64_t policy_version() const noexcept {
-    return policy_version_;
+    return config_.policy_version;
   }
   [[nodiscard]] std::uint64_t cycles_spent() const noexcept { return cycles_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -178,7 +182,6 @@ class HardwarePolicyEngine final : public can::Channel, public can::FrameSink {
   can::FrameSink* node_sink_ = nullptr;
   bool locked_ = false;
   std::uint8_t mode_ = 0;
-  std::uint64_t policy_version_ = 1;
   std::uint64_t cycles_ = 0;
   HpeStats stats_;
   std::vector<AuditRecord> audit_;

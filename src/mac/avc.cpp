@@ -1,25 +1,10 @@
 #include "mac/avc.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
-#include <thread>
 
 #include "mac/batch_probe.h"
 #include "mac/stage_counters.h"
-
-// ThreadSanitizer does not model memory fences, so under TSan the
-// seqlock reader validates with a value-preserving RMW instead (which
-// TSan understands as synchronisation). Plain builds keep the classic
-// fence + relaxed-load validation: no store on the shared sequence
-// line, so concurrent readers do not serialise on it.
-#if defined(__SANITIZE_THREAD__)
-#define PSME_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PSME_TSAN 1
-#endif
-#endif
 
 namespace psme::mac {
 
@@ -37,39 +22,17 @@ Avc::Avc(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) {
     throw std::invalid_argument("Avc: capacity must be positive");
   }
-  // Atomic slot fields make Node non-movable, so both arrays are sized in
-  // one shot (vector(count) default-inserts in place) and never resized.
-  nodes_ = std::vector<Node>(capacity_);
-  buckets_ = std::vector<std::atomic<std::uint32_t>>(
-      // ~2x slots per bucket array keeps chains around one node on average.
-      next_pow2(capacity_ * 2));
-  for (auto& bucket : buckets_) {
-    bucket.store(kNil, std::memory_order_relaxed);
-  }
+  nodes_.resize(capacity_);
+  // ~2x slots per bucket array keeps chains around one node on average.
+  buckets_.assign(next_pow2(capacity_ * 2), kNil);
   reset_free_list();
-}
-
-// ----------------------------------------------------------- seqlock bracket
-
-void Avc::begin_mutation() noexcept {
-  // Seqlock write side as an RMW in every build (owner-only, so the line
-  // is uncontended and the RMW costs what a store does): the acquire
-  // half keeps the slot stores that follow from hoisting above the odd
-  // generation, the release half orders it after whatever came before.
-  fill_seq_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void Avc::end_mutation() noexcept {
-  // Release: every slot store of this bracket is visible before the
-  // generation returns to even.
-  fill_seq_.fetch_add(1, std::memory_order_release);
 }
 
 void Avc::reset_free_list() noexcept {
   for (std::uint32_t i = 0; i + 1 < capacity_; ++i) {
-    nodes_[i].hash_next.store(i + 1, std::memory_order_relaxed);
+    nodes_[i].hash_next = i + 1;
   }
-  nodes_[capacity_ - 1].hash_next.store(kNil, std::memory_order_relaxed);
+  nodes_[capacity_ - 1].hash_next = kNil;
   free_head_ = 0;
   lru_head_ = lru_tail_ = kNil;
   size_ = 0;
@@ -100,19 +63,15 @@ void Avc::lru_push_front(std::uint32_t n) noexcept {
 }
 
 void Avc::chain_remove(std::uint32_t bucket, std::uint32_t n) noexcept {
-  std::uint32_t cur = buckets_[bucket].load(std::memory_order_relaxed);
+  std::uint32_t cur = buckets_[bucket];
   if (cur == n) {
-    buckets_[bucket].store(nodes_[n].hash_next.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+    buckets_[bucket] = nodes_[n].hash_next;
     return;
   }
   while (cur != kNil) {
-    const std::uint32_t next =
-        nodes_[cur].hash_next.load(std::memory_order_relaxed);
+    const std::uint32_t next = nodes_[cur].hash_next;
     if (next == n) {
-      nodes_[cur].hash_next.store(
-          nodes_[n].hash_next.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
+      nodes_[cur].hash_next = nodes_[n].hash_next;
       return;
     }
     cur = next;
@@ -120,14 +79,11 @@ void Avc::chain_remove(std::uint32_t bucket, std::uint32_t n) noexcept {
 }
 
 void Avc::revalidate(const PolicyDb& db) noexcept {
-  if (db.seqno() != db_seqno_.load(std::memory_order_relaxed)) {
+  if (db.seqno() != db_seqno_) {
     // Policy reload invalidates cached vectors. The very first query merely
     // synchronises the seqno — an empty cache has nothing to flush.
     if (size_ != 0) flush();
-    // Release pairs with the shared reader's acquire load: a reader that
-    // observes the new generation also observes the flush that preceded
-    // it (no stale chain can masquerade as the new generation).
-    db_seqno_.store(db.seqno(), std::memory_order_release);
+    db_seqno_ = db.seqno();
   }
 }
 
@@ -170,7 +126,7 @@ void Avc::query_batch(const PolicyDb& db, std::span<const std::uint64_t> keys,
       }
       for (std::size_t j = 0; j < count; ++j) {
         const std::uint64_t key = keys[base + j];
-        const std::uint32_t slot = probe_owner(bucket_idx[j], key);
+        const std::uint32_t slot = find_node(bucket_idx[j], key);
         if (slot != kNil) {
           out[base + j] = hit_slot(slot);
         } else {
@@ -189,7 +145,7 @@ void Avc::query_batch(const PolicyDb& db, std::span<const std::uint64_t> keys,
       PSME_STAGE_TIMER(avc_probe, 0);
       for (std::size_t k = 0; k < miss_count; ++k) {
         const std::uint32_t j = miss[k];
-        const std::uint32_t slot = probe_owner(bucket_idx[j], miss_keys[k]);
+        const std::uint32_t slot = find_node(bucket_idx[j], miss_keys[k]);
         if (slot != kNil) {
           out[base + j] = hit_slot(slot);
         } else {
@@ -202,11 +158,10 @@ void Avc::query_batch(const PolicyDb& db, std::span<const std::uint64_t> keys,
   }
 }
 
-std::uint32_t Avc::probe_owner(std::uint32_t bucket,
+std::uint32_t Avc::find_node(std::uint32_t bucket,
                                std::uint64_t key) const noexcept {
-  for (std::uint32_t n = buckets_[bucket].load(std::memory_order_relaxed);
-       n != kNil; n = nodes_[n].hash_next.load(std::memory_order_relaxed)) {
-    if (nodes_[n].key.load(std::memory_order_relaxed) == key) return n;
+  for (std::uint32_t n = buckets_[bucket]; n != kNil; n = nodes_[n].hash_next) {
+    if (nodes_[n].key == key) return n;
   }
   return kNil;
 }
@@ -214,42 +169,37 @@ std::uint32_t Avc::probe_owner(std::uint32_t bucket,
 AccessVector Avc::hit_slot(std::uint32_t n) noexcept {
   ++stats_.hits;
   if (lru_head_ != n) {
-    // LRU links are owner-private (readers never follow them), so a
-    // hit's recency bump needs no seqlock bracket.
     lru_unlink(n);
     lru_push_front(n);
   }
-  return nodes_[n].av.load(std::memory_order_relaxed);
+  return nodes_[n].av;
 }
 
 void Avc::fill_slot(std::uint32_t bucket, std::uint64_t key,
                     AccessVector av) noexcept {
-  begin_mutation();
   std::uint32_t n;
   if (free_head_ != kNil) {
     n = free_head_;
-    free_head_ = nodes_[n].hash_next.load(std::memory_order_relaxed);
+    free_head_ = nodes_[n].hash_next;
     ++size_;
   } else {
     // Cache full: recycle the least recently used slot.
     n = lru_tail_;
-    chain_remove(bucket_of(nodes_[n].key.load(std::memory_order_relaxed)), n);
+    chain_remove(bucket_of(nodes_[n].key), n);
     lru_unlink(n);
     ++stats_.evictions;
   }
   Node& node = nodes_[n];
-  node.key.store(key, std::memory_order_relaxed);
-  node.av.store(av, std::memory_order_relaxed);
-  node.hash_next.store(buckets_[bucket].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  buckets_[bucket].store(n, std::memory_order_relaxed);
+  node.key = key;
+  node.av = av;
+  node.hash_next = buckets_[bucket];
+  buckets_[bucket] = n;
   lru_push_front(n);
-  end_mutation();
 }
 
 AccessVector Avc::lookup(const PolicyDb& db, std::uint64_t key) {
   const std::uint32_t bucket = bucket_of(key);
-  const std::uint32_t n = probe_owner(bucket, key);
+  const std::uint32_t n = find_node(bucket, key);
   if (n != kNil) return hit_slot(n);
 
   ++stats_.misses;
@@ -292,155 +242,9 @@ bool Avc::allowed(const PolicyDb& db, std::string_view source_type,
 }
 
 void Avc::flush() noexcept {
-  begin_mutation();
-  for (auto& bucket : buckets_) {
-    bucket.store(kNil, std::memory_order_relaxed);
-  }
+  std::fill(buckets_.begin(), buckets_.end(), kNil);
   reset_free_list();
-  end_mutation();
   ++stats_.flushes;
-}
-
-// --------------------------------------------------------- shared read path
-
-Avc::SharedShard& Avc::shared_shard() const noexcept {
-  // One hash per thread lifetime: the shard index is a pure function of
-  // the thread id, cached thread-locally (shared across Avc instances —
-  // it is only an index).
-  static const thread_local std::size_t shard =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-      (kSharedShards - 1);
-  return shared_shards_[shard];
-}
-
-bool Avc::probe_shared(std::uint64_t key, std::uint64_t db_gen,
-                       AccessVector& av) const noexcept {
-  const std::uint32_t bucket = bucket_of(key);
-  for (int attempt = 0; attempt < kSharedRetries; ++attempt) {
-    const std::uint64_t gen = fill_seq_.load(std::memory_order_acquire);
-    if (gen & 1) continue;  // owner mid-mutation; the fill window is tiny
-    // Generation filter INSIDE the validated window: entries filled from
-    // a different policy generation must not be served, and the acquire
-    // load pairs with revalidate()'s release store so a reader that sees
-    // the new seqno also sees the flush that preceded it. (A reader that
-    // sees a stale match-looking chain instead fails the seq validation
-    // below — the flush bumped it.) A mismatched or not-yet-synchronised
-    // cache is simply bypassed; the owner's next query flushes it.
-    if (db_seqno_.load(std::memory_order_acquire) != db_gen) return false;
-    bool found = false;
-    AccessVector candidate = 0;
-    std::uint32_t n = buckets_[bucket].load(std::memory_order_relaxed);
-    // A torn chain walk could transiently cycle; the step bound keeps the
-    // walk finite until the generation check below rejects it.
-    for (std::size_t steps = 0; n != kNil && steps <= capacity_; ++steps) {
-      const Node& node = nodes_[n];
-      if (node.key.load(std::memory_order_relaxed) == key) {
-        candidate = node.av.load(std::memory_order_relaxed);
-        found = true;
-        break;
-      }
-      n = node.hash_next.load(std::memory_order_relaxed);
-    }
-    // Validation: the probe's loads must complete before the generation
-    // is re-read. Under TSan that is a value-preserving RMW (its release
-    // half pins the loads above it, its acquire half pairs with
-    // end_mutation, and TSan models it); everywhere else the classic
-    // acquire fence + relaxed re-load — no store on the shared sequence
-    // line, so readers never contend on it. Unchanged generation == no
-    // mutation bracket overlapped the probe. (The db_seqno_ acquire
-    // above additionally guarantees a reader that saw a NEW generation
-    // cannot validate against a pre-flush sequence value: the flush's
-    // bumps happen-before its release store.)
-#if defined(PSME_TSAN)
-    const std::uint64_t revalidated =
-        fill_seq_.fetch_add(0, std::memory_order_acq_rel);
-#else
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t revalidated =
-        fill_seq_.load(std::memory_order_relaxed);
-#endif
-    if (revalidated == gen) {
-      av = candidate;
-      return found;
-    }
-  }
-  return false;  // kept losing the race; treat as a miss (db answers)
-}
-
-AccessVector Avc::query_shared(const PolicyDb& db, Sid source, Sid target,
-                               Sid cls) const noexcept {
-  SharedShard& shard = shared_shard();
-  AccessVector av = 0;
-  if (probe_shared(pack_av_key(source, target, cls), db.seqno(), av)) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return av;
-  }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  return db.lookup(source, target, cls);
-}
-
-void Avc::query_batch_shared(const PolicyDb& db,
-                             std::span<const std::uint64_t> keys,
-                             std::span<AccessVector> out) const {
-  if (keys.size() != out.size()) {
-    throw std::invalid_argument("Avc::query_batch_shared: span lengths differ");
-  }
-  SharedShard& shard = shared_shard();
-  const std::uint64_t db_gen = db.seqno();
-  std::uint64_t hits = 0;
-
-  // Staged like the owner batch, minus the fill wave (shared readers
-  // never mutate): prefetch bucket heads, run the seqlock probe wave,
-  // collect misses, answer them through one db.lookup_batch sweep.
-  // Per-element results and the hit/miss totals are exactly the scalar
-  // interleaving's — a probe's outcome depends only on the cache state
-  // racing past it, never on this batch's own earlier elements.
-  constexpr std::size_t kChunk = 256;
-  std::uint32_t miss[kChunk];
-  std::uint64_t miss_keys[kChunk];
-  AccessVector miss_avs[kChunk];
-
-  const std::size_t n = keys.size();
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t count = std::min(kChunk, n - base);
-    std::size_t miss_count = 0;
-    {
-      PSME_STAGE_TIMER(avc_probe, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        probe::prefetch(&buckets_[bucket_of(keys[base + j])]);
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        AccessVector av = 0;
-        if (probe_shared(keys[base + j], db_gen, av)) {
-          ++hits;
-          out[base + j] = av;
-        } else {
-          miss[miss_count] = static_cast<std::uint32_t>(j);
-          miss_keys[miss_count] = keys[base + j];
-          ++miss_count;
-        }
-      }
-    }
-    if (miss_count != 0) {
-      PSME_STAGE_TIMER(db_probe, miss_count);
-      db.lookup_batch(std::span<const std::uint64_t>(miss_keys, miss_count),
-                      std::span<AccessVector>(miss_avs, miss_count));
-      for (std::size_t k = 0; k < miss_count; ++k) {
-        out[base + miss[k]] = miss_avs[k];
-      }
-    }
-  }
-  shard.hits.fetch_add(hits, std::memory_order_relaxed);
-  shard.misses.fetch_add(n - hits, std::memory_order_relaxed);
-}
-
-AvcStats Avc::shared_stats() const noexcept {
-  AvcStats merged;
-  for (const SharedShard& shard : shared_shards_) {
-    merged.hits += shard.hits.load(std::memory_order_relaxed);
-    merged.misses += shard.misses.load(std::memory_order_relaxed);
-  }
-  return merged;
 }
 
 }  // namespace psme::mac

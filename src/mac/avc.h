@@ -13,24 +13,13 @@
 // hash, one short chain walk and four index writes. String queries are
 // shims that intern through the database's SidTable first.
 //
-// Concurrency (DESIGN.md "Concurrency model"): the cache follows the
-// kernel AVC's reader/writer asymmetry. Exactly ONE thread — the owner —
-// may call the mutating entry points (query, query_batch, flush, the
-// string shims); any number of OTHER threads may concurrently call the
-// `_shared` read path. Shared readers are protected by a seqlock
-// (`fill_seq_`): the owner bumps the sequence to odd around every
-// slot/chain mutation, readers validate the generation after an optimistic
-// probe and retry on a torn read — they never block and never write to
-// the cache. A shared miss (or a reader that keeps losing the seqlock
-// race) falls through to the lock-free sealed PolicyDb table WITHOUT
-// filling a slot; fills remain owner-only. Shared-read hit/miss counters
-// live in padded per-shard relaxed atomics merged on demand
-// (shared_stats()); the owner's stats() stays a plain struct and must not
-// be read concurrently with owner mutations.
+// Concurrency (DESIGN.md "Concurrency model"): an Avc is an owner-only
+// object. Every entry point, const or not, belongs to the one thread that
+// owns the cache; nothing here is safe to call concurrently. Code that
+// needs policy answers on several threads shares a sealed image
+// (core::CompiledPolicyImage) instead, never a cache.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -57,13 +46,6 @@ struct AvcStats {
 class Avc {
  public:
   explicit Avc(std::size_t capacity = 512);
-
-  // Seqlock-protected slots make the cache identity-pinned: readers hold
-  // references into `nodes_`/`buckets_` across the object's lifetime.
-  Avc(const Avc&) = delete;
-  Avc& operator=(const Avc&) = delete;
-
-  // -- owner entry points (single writer; see header comment) ------------
 
   /// Returns the access vector, consulting `db` on a miss and caching the
   /// result. A db seqno change flushes the cache first (policy reload).
@@ -118,36 +100,7 @@ class Avc {
 
   void flush() noexcept;
 
-  // -- shared read path (any number of concurrent threads) ---------------
-
-  /// Lock-free concurrent probe. Answers from a cache slot when a
-  /// seqlock-stable generation confirms the read, otherwise falls through
-  /// to `db.lookup` (the sealed flat table — const, lock-free). Never
-  /// blocks, never fills a slot, never touches the LRU. Safe against a
-  /// concurrent owner filling/evicting/flushing THIS cache; the caller
-  /// must ensure `db` itself outlives the call (snapshot it — see
-  /// MacEngine::evaluate_batch_shared). Entries cached from a different
-  /// policy generation (seqno mismatch) are bypassed, never served.
-  [[nodiscard]] AccessVector query_shared(const PolicyDb& db, Sid source,
-                                          Sid target, Sid cls) const noexcept;
-
-  /// Batched form of query_shared over packed pack_av_key triples. The
-  /// db-seqno filter is evaluated once for the span, and the span runs
-  /// the staged wave pipeline (probe wave with prefetched bucket heads →
-  /// miss collection → one PolicyDb::lookup_batch sweep); there is no
-  /// fill wave — shared readers never mutate. Per-element answers and
-  /// the shard hit/miss totals are exactly the scalar interleaving's.
-  /// Throws std::invalid_argument when the spans differ in length.
-  void query_batch_shared(const PolicyDb& db,
-                          std::span<const std::uint64_t> keys,
-                          std::span<AccessVector> out) const;
-
-  /// Merged shared-read counters (hits answered from a stable slot,
-  /// misses that fell through to the db). evictions/flushes are always 0
-  /// here — shared readers never mutate.
-  [[nodiscard]] AvcStats shared_stats() const noexcept;
-
-  // -- observation (owner thread) ----------------------------------------
+  // -- observation ---------------------------------------------------------
 
   [[nodiscard]] const AvcStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -155,73 +108,39 @@ class Avc {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  /// Seqlock retries before a shared reader gives up on the cache and
-  /// answers from the db. A retry only happens when the owner mutated
-  /// the cache mid-probe, so the first retry almost always lands.
-  static constexpr int kSharedRetries = 3;
 
-  /// Slot fields raced by the shared read path (`key`, `av`, `hash_next`,
-  /// the bucket heads) are relaxed atomics — the seqlock generation, not
-  /// the individual loads, establishes consistency. LRU links are plain:
-  /// readers never follow them.
   struct Node {
-    std::atomic<std::uint64_t> key{0};
-    std::atomic<AccessVector> av{0};
+    std::uint64_t key = 0;
+    AccessVector av = 0;
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;
-    std::atomic<std::uint32_t> hash_next{kNil};  // doubles as free-list link
+    std::uint32_t hash_next = kNil;  // doubles as free-list link
   };
-
-  /// Padded shard of shared-read counters; threads scatter across shards
-  /// by thread-id hash so concurrent readers do not contend on one line.
-  struct alignas(64) SharedShard {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-  };
-  static constexpr std::size_t kSharedShards = 8;
 
   [[nodiscard]] std::uint32_t bucket_of(std::uint64_t key) const noexcept {
     return static_cast<std::uint32_t>(mix_av_key(key) & (buckets_.size() - 1));
   }
 
-  /// Flushes on a policy reload; both owner query paths call this exactly
-  /// once per entry point before probing.
+  /// Flushes on a policy reload; both query paths call this exactly once
+  /// per entry point before probing.
   void revalidate(const PolicyDb& db) noexcept;
 
   /// One probe-or-fill against an already-revalidated database.
   [[nodiscard]] AccessVector lookup(const PolicyDb& db, std::uint64_t key);
 
-  /// Owner-thread chain walk: slot index for `key` in `bucket`, kNil on
-  /// a miss. No stats, no LRU — the callers decide what the outcome
-  /// means (the batch fill wave re-probes before inserting).
-  [[nodiscard]] std::uint32_t probe_owner(std::uint32_t bucket,
-                                          std::uint64_t key) const noexcept;
+  /// Chain walk: slot index for `key` in `bucket`, kNil on a miss. No
+  /// stats, no LRU — the callers decide what the outcome means (the
+  /// batch fill wave re-probes before inserting).
+  [[nodiscard]] std::uint32_t find_node(std::uint32_t bucket,
+                                        std::uint64_t key) const noexcept;
 
-  /// Owner-thread hit bookkeeping: counts the hit, bumps recency,
-  /// returns the cached vector.
+  /// Hit bookkeeping: counts the hit, bumps recency, returns the cached
+  /// vector.
   [[nodiscard]] AccessVector hit_slot(std::uint32_t n) noexcept;
 
-  /// Owner-thread insert of a freshly-consulted vector (seqlock-
-  /// bracketed; recycles the LRU tail when full).
+  /// Inserts a freshly-consulted vector (recycles the LRU tail when full).
   void fill_slot(std::uint32_t bucket, std::uint64_t key,
                  AccessVector av) noexcept;
-
-  /// Seqlock write-side bracket around any slot/chain mutation.
-  void begin_mutation() noexcept;
-  void end_mutation() noexcept;
-
-  /// One seqlock-validated optimistic probe against policy generation
-  /// `db_gen`. Returns true with `av` set on a stable hit; false on a
-  /// stable miss, a generation mismatch, or when retries on a torn
-  /// generation are exhausted. Validation is an acquire fence + re-load
-  /// of the sequence word (no store, so readers never contend on the
-  /// line); under TSan — which models no fences — it is a
-  /// value-preserving RMW instead, which TSan understands as
-  /// synchronisation.
-  [[nodiscard]] bool probe_shared(std::uint64_t key, std::uint64_t db_gen,
-                                  AccessVector& av) const noexcept;
-
-  [[nodiscard]] SharedShard& shared_shard() const noexcept;
 
   void lru_unlink(std::uint32_t n) noexcept;
   void lru_push_front(std::uint32_t n) noexcept;
@@ -230,22 +149,14 @@ class Avc {
 
   std::size_t capacity_;
   std::vector<Node> nodes_;  // exactly capacity_ slots, fixed
-  std::vector<std::atomic<std::uint32_t>> buckets_;  // pow-2, kNil-terminated
+  std::vector<std::uint32_t> buckets_;  // pow-2, kNil-terminated
   std::uint32_t lru_head_ = kNil;  // most recently used
   std::uint32_t lru_tail_ = kNil;  // eviction victim
   std::uint32_t free_head_ = kNil;
   std::size_t size_ = 0;
-  /// Policy generation the cached entries were filled from. The owner
-  /// release-stores it in revalidate() after flushing; shared readers
-  /// acquire-load it inside the seqlock window to bypass cross-generation
-  /// entries.
-  std::atomic<std::uint64_t> db_seqno_{0};
-  /// Seqlock generation: even = stable, odd = owner mutating. Mutable:
-  /// the shared reader's validation step is a value-preserving RMW
-  /// (fetch_add(0)), a write in form only.
-  mutable std::atomic<std::uint64_t> fill_seq_{0};
+  /// Policy generation the cached entries were filled from.
+  std::uint64_t db_seqno_ = 0;
   AvcStats stats_;
-  mutable std::array<SharedShard, kSharedShards> shared_shards_{};
 };
 
 }  // namespace psme::mac

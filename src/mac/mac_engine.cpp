@@ -67,20 +67,16 @@ void MacEngine::rebuild() {
   }
   // Compile the whole generation — database plus the SID-space
   // coordinates of the asset class (the bit layout follows registration
-  // order above and is stable across rebuilds) — into one immutable
-  // snapshot, then publish it atomically. Concurrent readers keep
-  // answering from whichever snapshot they pinned; the AVC notices the
-  // seqno change lazily on the owner's next query.
-  auto snap = std::make_shared<DbSnapshot>();
-  snap->db = builder.build(next_seqno_++, sids_);
-  const ClassDef* asset = snap->db.find_class(std::string_view(kAssetClass));
-  snap->asset_class_sid = asset->sid;
-  snap->read_mask = *asset->bit("read");
-  snap->write_mask = *asset->bit("write");
-  {
-    std::scoped_lock lock(publish_mutex_);
-    active_ = std::move(snap);
-  }
+  // order above and is stable across rebuilds) — before replacing the
+  // active one, so a failed build leaves the engine unchanged. The AVC
+  // notices the seqno change lazily on the next query.
+  Generation next;
+  next.db = builder.build(next_seqno_++, sids_);
+  const ClassDef* asset = next.db.find_class(std::string_view(kAssetClass));
+  next.asset_class_sid = asset->sid;
+  next.read_mask = *asset->bit("read");
+  next.write_mask = *asset->bit("write");
+  active_ = std::move(next);
 }
 
 void MacEngine::load_module(PolicyModule module) {
@@ -148,12 +144,11 @@ std::vector<std::string> MacEngine::loaded_modules() const {
   return names;
 }
 
-core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
-                                 Sid target, AccessVector av,
-                                 core::AccessType access,
-                                 bool permissive) const {
-  const AccessVector need =
-      access == core::AccessType::kRead ? snap.read_mask : snap.write_mask;
+core::Decision MacEngine::decide(Sid source, Sid target, AccessVector av,
+                                 core::AccessType access) {
+  const AccessVector need = access == core::AccessType::kRead
+                                ? active_.read_mask
+                                : active_.write_mask;
   if ((av & need) != 0) {
     // Hot path: both literals fit the small-string buffer, so a cached
     // allow constructs no heap memory at all.
@@ -162,17 +157,15 @@ core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
   // Denials reverse-map SIDs to names for the audit trail; this is where
   // the interner's reverse table earns its keep. SIDs the interner never
   // issued (possible only via hand-built batch requests) still deny with
-  // a placeholder name instead of throwing mid-batch. Safe for shared
-  // readers: name_of is a const read, and the single-writer rule forbids
-  // interning new names while readers are active.
+  // a placeholder name instead of throwing mid-batch.
   constexpr std::string_view kInvalidSid = "<invalid-sid>";
   const std::string_view source_name =
       sids_->contains(source) ? sids_->name_of(source) : kInvalidSid;
   const std::string_view target_name =
       sids_->contains(target) ? sids_->name_of(target) : kInvalidSid;
   const std::string_view perm = core::to_string(access);
-  if (permissive) {
-    permissive_denials_.fetch_add(1, std::memory_order_relaxed);
+  if (permissive_) {
+    ++permissive_denials_;
     return core::Decision::allow(
         "te-permissive", "would deny " + std::string(source_name) + " -> " +
                              std::string(target_name) + " " +
@@ -185,12 +178,11 @@ core::Decision MacEngine::decide(const DbSnapshot& snap, Sid source,
 }
 
 core::Decision MacEngine::evaluate(const core::AccessRequest& request) {
-  const DbSnapshot& snap = *active_;  // owner thread: direct read is safe
   const Sid source = type_sid_of(request.subject);
   const Sid target = type_sid_of(request.object);
   const AccessVector av =
-      avc_.query(snap.db, source, target, snap.asset_class_sid);
-  return decide(snap, source, target, av, request.access, permissive());
+      avc_.query(active_.db, source, target, active_.asset_class_sid);
+  return decide(source, target, av, request.access);
 }
 
 core::SidRequest MacEngine::resolve(const core::AccessRequest& request) const {
@@ -209,7 +201,6 @@ void MacEngine::evaluate_batch(std::span<const core::SidRequest> requests,
   if (requests.size() != out.size()) {
     throw std::invalid_argument("MacEngine::evaluate_batch: span lengths differ");
   }
-  const DbSnapshot& snap = *active_;  // owner thread: direct read is safe
   // One pass, three phases: pack keys, answer them all against the AVC
   // (one seqno check for the span, staged probe/db/fill waves inside),
   // then materialise Decisions. The scratch buffers and the caller's
@@ -227,16 +218,15 @@ void MacEngine::evaluate_batch(std::span<const core::SidRequest> requests,
           requests[i].subject <= kMaxTypeSid ? requests[i].subject : kNullSid;
       const Sid target =
           requests[i].object <= kMaxTypeSid ? requests[i].object : kNullSid;
-      batch_keys_[i] = pack_av_key(source, target, snap.asset_class_sid);
+      batch_keys_[i] = pack_av_key(source, target, active_.asset_class_sid);
     }
   }
-  avc_.query_batch(snap.db, batch_keys_, batch_avs_);
-  const bool permissive_mode = permissive();  // one mode for the batch
+  avc_.query_batch(active_.db, batch_keys_, batch_avs_);
   {
     PSME_STAGE_TIMER(copy, requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      out[i] = decide(snap, requests[i].subject, requests[i].object,
-                      batch_avs_[i], requests[i].access, permissive_mode);
+      out[i] = decide(requests[i].subject, requests[i].object, batch_avs_[i],
+                      requests[i].access);
     }
   }
   if (batch_keys_.capacity() > core::kRecommendedBatchChunk) {
@@ -252,105 +242,10 @@ void MacEngine::evaluate_batch(std::span<const core::SidRequest> requests,
   }
 }
 
-void MacEngine::evaluate_batch_shared(
-    std::span<const core::SidRequest> requests,
-    std::span<core::Decision> out) const {
-  if (requests.size() != out.size()) {
-    throw std::invalid_argument(
-        "MacEngine::evaluate_batch_shared: span lengths differ");
-  }
-  // Pin one policy generation AND one enforcement mode for the whole
-  // span: every element is adjudicated against the same database, masks
-  // and permissive flag, even if the owner publishes a new snapshot or
-  // toggles set_permissive mid-batch.
-  const std::shared_ptr<const DbSnapshot> snap = snapshot();
-  const bool permissive_mode = permissive();
-  // Stack chunks keep this const and scratch-free for any number of
-  // concurrent callers, and batching through query_batch_shared
-  // amortises the shared-stat updates (one RMW pair per chunk, not per
-  // element).
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t keys[kChunk];
-  AccessVector avs[kChunk];
-  for (std::size_t base = 0; base < requests.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, requests.size() - base);
-    {
-      PSME_STAGE_TIMER(resolve, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const Sid source =
-            request.subject <= kMaxTypeSid ? request.subject : kNullSid;
-        const Sid target =
-            request.object <= kMaxTypeSid ? request.object : kNullSid;
-        keys[j] = pack_av_key(source, target, snap->asset_class_sid);
-      }
-    }
-    avc_.query_batch_shared(snap->db, std::span<const std::uint64_t>(keys, n),
-                            std::span<AccessVector>(avs, n));
-    {
-      PSME_STAGE_TIMER(copy, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        out[base + j] = decide(*snap, request.subject, request.object, avs[j],
-                               request.access, permissive_mode);
-      }
-    }
-  }
-}
-
-void MacEngine::evaluate_batch_allowed_shared(
-    std::span<const core::SidRequest> requests,
-    std::span<std::uint8_t> allowed_out) const {
-  if (requests.size() != allowed_out.size()) {
-    throw std::invalid_argument(
-        "MacEngine::evaluate_batch_allowed_shared: span lengths differ");
-  }
-  // Same pinning discipline as evaluate_batch_shared: one policy
-  // generation and one enforcement mode for the whole span.
-  const std::shared_ptr<const DbSnapshot> snap = snapshot();
-  const bool permissive_mode = permissive();
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t keys[kChunk];
-  AccessVector avs[kChunk];
-  for (std::size_t base = 0; base < requests.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, requests.size() - base);
-    {
-      PSME_STAGE_TIMER(resolve, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const Sid source =
-            request.subject <= kMaxTypeSid ? request.subject : kNullSid;
-        const Sid target =
-            request.object <= kMaxTypeSid ? request.object : kNullSid;
-        keys[j] = pack_av_key(source, target, snap->asset_class_sid);
-      }
-    }
-    avc_.query_batch_shared(snap->db, std::span<const std::uint64_t>(keys, n),
-                            std::span<AccessVector>(avs, n));
-    {
-      PSME_STAGE_TIMER(copy, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const core::SidRequest& request = requests[base + j];
-        const AccessVector need = request.access == core::AccessType::kRead
-                                      ? snap->read_mask
-                                      : snap->write_mask;
-        const bool allowed = (avs[j] & need) != 0;
-        // Permissive parity with decide(): a would-be denial is allowed
-        // but counted, so telemetry sees the same totals either path.
-        if (!allowed && permissive_mode) {
-          permissive_denials_.fetch_add(1, std::memory_order_relaxed);
-        }
-        allowed_out[base + j] =
-            static_cast<std::uint8_t>(allowed || permissive_mode);
-      }
-    }
-  }
-}
-
 bool MacEngine::allowed(const std::string& source_type,
                         const std::string& target_type,
                         const std::string& perm) {
-  return avc_.allowed(active_->db, source_type, target_type, kAssetClass, perm);
+  return avc_.allowed(active_.db, source_type, target_type, kAssetClass, perm);
 }
 
 }  // namespace psme::mac

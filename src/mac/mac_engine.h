@@ -21,26 +21,17 @@
 // Denials (never the hot path) reverse-map SIDs to names for the audit
 // reason text.
 //
-// Concurrency (DESIGN.md "Concurrency model"): MacEngine follows the
-// single-writer/many-readers split. ONE owner thread drives labelling,
-// module lifecycle and the mutating evaluate paths; any number of OTHER
-// threads may call evaluate_batch_shared concurrently, including while
-// the owner reloads policy. Each rebuild publishes an immutable snapshot
-// (database + derived class/permission coordinates) behind a shared_ptr;
-// readers pin a snapshot for the duration of a batch, probe the AVC
-// through its seqlock read path, and fall through to the snapshot's
-// sealed flat table on a miss. The one caveat: the shared SidTable grows
-// on intern, so the owner must not introduce NEW names (labels, types,
-// string-shim queries for unseen strings) while readers are active —
-// reloading existing modules and toggling booleans re-interns nothing
-// and is safe.
+// Concurrency (DESIGN.md "Concurrency model"): a MacEngine is an
+// owner-only object, like the Avc it owns. Labelling, module lifecycle,
+// booleans, permissive mode and every evaluate path belong to the one
+// thread that owns the engine; no entry point is safe to call
+// concurrently. Fleet sweeps and wire MACs that adjudicate on several
+// threads share a sealed core::CompiledPolicyImage instead.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -84,7 +75,7 @@ class MacEngine final : public core::PolicyEngine {
 
   explicit MacEngine(std::size_t avc_capacity = 512);
 
-  // -- labelling (owner thread only) -------------------------------------
+  // -- labelling ---------------------------------------------------------
 
   /// Associates an entity id (entry point, node, asset) with a context.
   /// The context's type is interned immediately; evaluate() never touches
@@ -94,7 +85,7 @@ class MacEngine final : public core::PolicyEngine {
   [[nodiscard]] const SecurityContext& context_of(const std::string& entity) const;
   void set_default_context(SecurityContext context);
 
-  // -- module lifecycle (owner thread only) ------------------------------
+  // -- module lifecycle ---------------------------------------------------
 
   /// Loads a module and rebuilds the policy database. Throws on validation
   /// failure (unknown types, neverallow violations) without changing the
@@ -113,7 +104,7 @@ class MacEngine final : public core::PolicyEngine {
 
   [[nodiscard]] std::vector<std::string> loaded_modules() const;
   [[nodiscard]] std::uint64_t policy_seqno() const noexcept {
-    return active_->db.seqno();
+    return active_.db.seqno();
   }
 
   // -- enforcement -------------------------------------------------------
@@ -136,34 +127,8 @@ class MacEngine final : public core::PolicyEngine {
   /// performs zero heap allocations. Decisions are byte-identical to
   /// scalar evaluate on the equivalent requests. Throws
   /// std::invalid_argument when the spans differ in length.
-  /// Owner thread only: fills the AVC and uses member scratch buffers.
   void evaluate_batch(std::span<const core::SidRequest> requests,
                       std::span<core::Decision> out);
-
-  /// Concurrent-reader form of evaluate_batch: any number of threads may
-  /// call it simultaneously, including while the owner reloads policy.
-  /// Pins the engine's current immutable snapshot for the span, answers
-  /// each element through the AVC's lock-free seqlock probe (falling
-  /// through to the snapshot's sealed table on a miss — readers never
-  /// fill the cache), and materialises the same Decisions as the owner
-  /// path would against that snapshot. Decisions adjudicated mid-reload
-  /// reflect either the old or the new policy, never a mix. Throws
-  /// std::invalid_argument when the spans differ in length.
-  void evaluate_batch_shared(std::span<const core::SidRequest> requests,
-                             std::span<core::Decision> out) const;
-
-  /// Verdict-only twin of evaluate_batch_shared: `allowed_out[i]` is 1
-  /// when `requests[i]` would be allowed, 0 when denied — always equal
-  /// to evaluate_batch_shared's `out[i].allowed` (test-pinned). Same
-  /// concurrency contract (any number of threads, one pinned snapshot
-  /// and enforcement mode per call), but materialises a byte instead of
-  /// a three-string Decision, which is what wire-rate consumers
-  /// (can::WireMac adjudicating bus batches) actually read. Permissive
-  /// mode still converts denials to allows and counts them. Throws
-  /// std::invalid_argument when the spans differ in length.
-  void evaluate_batch_allowed_shared(
-      std::span<const core::SidRequest> requests,
-      std::span<std::uint8_t> allowed_out) const;
 
   /// Direct TE query (bypasses the request translation; used by tests).
   [[nodiscard]] bool allowed(const std::string& source_type,
@@ -173,31 +138,23 @@ class MacEngine final : public core::PolicyEngine {
   [[nodiscard]] const AvcStats& avc_stats() const noexcept {
     return avc_.stats();
   }
-  /// Merged counters of the concurrent read path (see Avc::shared_stats).
-  [[nodiscard]] AvcStats avc_shared_stats() const noexcept {
-    return avc_.shared_stats();
-  }
 
-  /// One-stop perf observation over the staged decision core: the owner
-  /// AVC counters, the merged shared-read counters, and the CALLING
-  /// thread's per-stage pipeline counters (resolve / avc-probe /
-  /// db-probe / copy — all zero unless the build enables
-  /// PSME_STAGE_COUNTERS; check mac::stage_counters_enabled()).
+  /// One-stop perf observation over the staged decision core: the AVC
+  /// counters and the CALLING thread's per-stage pipeline counters
+  /// (resolve / avc-probe / db-probe / copy — all zero unless the build
+  /// enables PSME_STAGE_COUNTERS; check mac::stage_counters_enabled()).
   struct Stats {
     AvcStats avc;
-    AvcStats avc_shared;
     StageCounters stages;
   };
   [[nodiscard]] Stats stats() const noexcept {
-    return Stats{avc_.stats(), avc_.shared_stats(), stage_counters()};
+    return Stats{avc_.stats(), stage_counters()};
   }
-  /// The active database (owner-thread view; readers inside
-  /// evaluate_batch_shared pin their own snapshot instead). The
-  /// reference is valid only until the next policy mutation
-  /// (load_module / unload_module / set_boolean) — each rebuild
-  /// publishes a fresh database and retires the old one. Re-call after
-  /// a reload instead of holding the reference across it.
-  [[nodiscard]] const PolicyDb& db() const noexcept { return active_->db; }
+  /// The active database. The reference is valid only until the next
+  /// policy mutation (load_module / unload_module / set_boolean) — each
+  /// rebuild replaces the database. Re-call after a reload instead of
+  /// holding the reference across it.
+  [[nodiscard]] const PolicyDb& db() const noexcept { return active_.db; }
 
   /// The engine's interner (stable across reloads; for tests and audit).
   [[nodiscard]] const SidTable& sids() const noexcept { return *sids_; }
@@ -207,22 +164,17 @@ class MacEngine final : public core::PolicyEngine {
 
   /// Permissive mode logs would-be denials but allows them (SELinux's
   /// permissive mode; useful when introducing policies to a live fleet).
-  void set_permissive(bool permissive) noexcept {
-    permissive_.store(permissive, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool permissive() const noexcept {
-    return permissive_.load(std::memory_order_relaxed);
-  }
+  void set_permissive(bool permissive) noexcept { permissive_ = permissive; }
+  [[nodiscard]] bool permissive() const noexcept { return permissive_; }
   [[nodiscard]] std::uint64_t permissive_denials() const noexcept {
-    return permissive_denials_.load(std::memory_order_relaxed);
+    return permissive_denials_;
   }
 
  private:
-  /// One policy generation, immutable once published: the compiled
-  /// database plus the SID-space coordinates of the asset class derived
-  /// from it. Shared readers pin a whole generation at once, so the
-  /// database and its masks can never be observed torn across a reload.
-  struct DbSnapshot {
+  /// One policy generation: the compiled database plus the SID-space
+  /// coordinates of the asset class derived from it, replaced together
+  /// by every rebuild.
+  struct Generation {
     PolicyDb db;
     Sid asset_class_sid = kNullSid;
     AccessVector read_mask = 0;
@@ -231,21 +183,10 @@ class MacEngine final : public core::PolicyEngine {
 
   void rebuild();
 
-  /// Current snapshot, pinned for shared readers.
-  [[nodiscard]] std::shared_ptr<const DbSnapshot> snapshot() const {
-    std::scoped_lock lock(publish_mutex_);
-    return active_;
-  }
-
-  /// Maps an answered access vector to the Decision all evaluate paths
-  /// share (factored so batch, shared-batch and scalar stay
-  /// byte-identical). `permissive` is loaded ONCE per entry point and
-  /// passed in, so a whole batch adjudicates in one enforcement mode
-  /// even if set_permissive races it.
-  [[nodiscard]] core::Decision decide(const DbSnapshot& snap, Sid source,
-                                      Sid target, AccessVector av,
-                                      core::AccessType access,
-                                      bool permissive) const;
+  /// Maps an answered access vector to the Decision both evaluate paths
+  /// share (factored so batch and scalar stay byte-identical).
+  [[nodiscard]] core::Decision decide(Sid source, Sid target, AccessVector av,
+                                      core::AccessType access);
 
   std::shared_ptr<SidTable> sids_;
   std::map<std::string, SecurityContext> labels_;
@@ -257,14 +198,11 @@ class MacEngine final : public core::PolicyEngine {
   Sid default_type_sid_ = kNullSid;
   std::vector<PolicyModule> modules_;
   std::map<std::string, bool> booleans_;
-  /// Published by rebuild() under publish_mutex_; the owner may read it
-  /// directly (it is the only writer), readers go through snapshot().
-  std::shared_ptr<const DbSnapshot> active_;
-  mutable std::mutex publish_mutex_;
+  Generation active_;
   Avc avc_;
   std::uint64_t next_seqno_ = 1;
-  std::atomic<bool> permissive_{false};
-  mutable std::atomic<std::uint64_t> permissive_denials_{0};
+  bool permissive_ = false;
+  std::uint64_t permissive_denials_ = 0;
   /// Scratch for evaluate_batch, reused across calls so a warm batch
   /// allocates nothing. Reserved to core::kRecommendedBatchChunk at
   /// construction; a larger batch grows it for its own duration, and

@@ -145,6 +145,31 @@ TEST(Vehicle, PolicyUpdateRejectedWhenForged) {
   }
 }
 
+TEST(Vehicle, SignedRollbackRefusedInEveryRegime) {
+  // A correctly signed bundle older than the vehicle's policy is a
+  // rollback: every regime refuses it, and the HPEs, provisioned at the
+  // vehicle's version, keep it.
+  for (const Enforcement regime :
+       {Enforcement::kNone, Enforcement::kSoftwareFilter, Enforcement::kHpe}) {
+    sim::Scheduler sched;
+    VehicleConfig config;
+    config.enforcement = regime;
+    config.policy_version = 5;
+    Vehicle vehicle(sched, config);
+    const core::PolicySigner oem(0xFEED);
+    core::PolicySet stale = full_policy(connected_car_threat_model(), 3);
+    core::PolicyBundle bundle{stale, oem.sign(stale), "oem"};
+    EXPECT_FALSE(vehicle.apply_policy_update(bundle, oem))
+        << to_string(regime);
+    EXPECT_EQ(vehicle.policy().version(), 5u) << to_string(regime);
+    if (regime == Enforcement::kHpe) {
+      for (const std::string& name : vehicle.node_names()) {
+        EXPECT_EQ(vehicle.hpe(name)->policy_version(), 5u) << name;
+      }
+    }
+  }
+}
+
 TEST(Vehicle, BusErrorsToleratedByRetransmission) {
   sim::Scheduler sched;
   VehicleConfig config;

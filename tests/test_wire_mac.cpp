@@ -1,12 +1,13 @@
 // Tests for the wire-rate MAC (psme::can::WireMac): the differential
-// oracle pinning batched wire verdicts to the scalar MacEngine::evaluate
-// reference, J1939 classification, ISO-TP flow adjudication, drop
-// telemetry, the BindingCompiler wire-table equivalence, and the TSan
-// torture drive through the concurrent shared-AVC path.
+// oracle pinning batched wire verdicts to per-frame admit() and to the
+// string PolicySet::evaluate reference, J1939 classification, ISO-TP flow
+// adjudication, drop telemetry, the BindingCompiler wire-table
+// equivalence, and the TSan drive of per-bus WireMacs sharing one sealed
+// image.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -17,7 +18,7 @@
 #include "car/ids.h"
 #include "car/policy_binding.h"
 #include "car/table1.h"
-#include "mac/mac_engine.h"
+#include "core/policy_image.h"
 #include "monitor/wire_drops.h"
 #include "sim/rng.h"
 
@@ -26,47 +27,53 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// -- fixture: a small engine-backed world -----------------------------------
+const threat::ModeId kNormal{"normal"};
+const threat::ModeId kDiagnostic{"diagnostic"};
+
+// -- fixture: a small image-backed world ------------------------------------
 //
 // Entities: subjects ecu/ivi/diag, objects engine/telemetry/doors.
-// Static rules: ecu may write engine, ivi may read telemetry.
-// Conditional: diag may write doors only while `diag_mode` is set.
+// Rules: ecu may write engine, ivi may read telemetry, and diag may write
+// doors only in the diagnostic mode. Tables stamp the normal mode unless
+// a test asks for another.
 struct WireWorld {
-  mac::MacEngine engine;
+  core::PolicySet policy{"wire", 1};
+  std::shared_ptr<const core::CompiledPolicyImage> image;
 
   WireWorld() {
-    mac::PolicyModule m;
-    m.name = "wire";
-    m.types = {"ecu_t", "ivi_t", "diag_t", "engine_t", "telemetry_t",
-               "doors_t"};
-    m.allows.push_back({"ecu_t", "engine_t", "asset", {"write"}});
-    m.allows.push_back({"ivi_t", "telemetry_t", "asset", {"read"}});
-    m.booleans.emplace_back("diag_mode", false);
-    m.conditional_allows.push_back(
-        {"diag_mode", true,
-         mac::TeRule{"diag_t", "doors_t", "asset", {"write"}}});
-    engine.load_module(std::move(m));
-    engine.label("ecu", mac::SecurityContext("system", "subject", "ecu_t"));
-    engine.label("ivi", mac::SecurityContext("system", "subject", "ivi_t"));
-    engine.label("diag", mac::SecurityContext("system", "subject", "diag_t"));
-    engine.label("engine",
-                 mac::SecurityContext("system", "object", "engine_t"));
-    engine.label("telemetry",
-                 mac::SecurityContext("system", "object", "telemetry_t"));
-    engine.label("doors", mac::SecurityContext("system", "object", "doors_t"));
+    policy.add_rule({.id = "ecu-engine", .subject = "ecu", .object = "engine",
+                     .permission = threat::Permission::kWrite});
+    policy.add_rule({.id = "ivi-telemetry", .subject = "ivi",
+                     .object = "telemetry",
+                     .permission = threat::Permission::kRead});
+    policy.add_rule({.id = "diag-doors", .subject = "diag", .object = "doors",
+                     .permission = threat::Permission::kWrite,
+                     .modes = {kDiagnostic}});
+    // No rule names the normal mode; intern it so tables can stamp it.
+    (void)policy.sid_table()->intern(kNormal.value);
+    image = policy.image_ptr();
   }
 
   [[nodiscard]] mac::Sid sid(const std::string& entity) const {
-    return engine.type_sid_of(entity);
+    return image->sids().find(entity);
+  }
+
+  /// A table builder stamping `mode` on every request.
+  [[nodiscard]] WireBindingTable::Builder builder(
+      const threat::ModeId& mode = kNormal) const {
+    WireBindingTable::Builder b;
+    b.set_mode(image->mode_sid(mode));
+    return b;
   }
 
   /// The table the differential tests share. Ids:
   ///   0x100 ecu->engine write (allowed), 0x101 ivi->telemetry read
-  ///   (allowed), 0x110 {ivi,diag}->doors write (allowed iff diag_mode),
-  ///   0x120 ivi->engine write (always denied), 0x420-0x43F pass (NM),
-  ///   everything else unbound.
-  [[nodiscard]] WireBindingTable table() const {
-    WireBindingTable::Builder b;
+  ///   (allowed), 0x110 {ivi,diag}->doors write (allowed iff diag may
+  ///   write doors in `mode`), 0x120 ivi->engine write (always denied),
+  ///   0x420-0x43F pass (NM), everything else unbound.
+  [[nodiscard]] WireBindingTable table(
+      const threat::ModeId& mode = kNormal) const {
+    WireBindingTable::Builder b = builder(mode);
     const std::array<mac::Sid, 1> ecu{sid("ecu")};
     const std::array<mac::Sid, 1> ivi{sid("ivi")};
     const std::array<mac::Sid, 2> ivi_or_diag{sid("ivi"), sid("diag")};
@@ -79,9 +86,10 @@ struct WireWorld {
     return b.build();
   }
 
-  /// Scalar reference verdict for one frame, via the string-level
-  /// MacEngine::evaluate path — deliberately NOT the batch machinery.
-  [[nodiscard]] bool reference(const Frame& frame) {
+  /// Reference verdict for one frame of table(kNormal), via the string
+  /// PolicySet::evaluate path against the current rules — deliberately
+  /// NOT the image or the batch machinery.
+  [[nodiscard]] bool reference(const Frame& frame) const {
     struct Rule {
       std::uint32_t id;
       std::vector<std::string> subjects;
@@ -101,9 +109,9 @@ struct WireWorld {
       return std::any_of(
           rule.subjects.begin(), rule.subjects.end(),
           [&](const std::string& subject) {
-            return engine
+            return policy
                 .evaluate(core::AccessRequest{subject, rule.object,
-                                              rule.access, {}})
+                                              rule.access, kNormal})
                 .allowed;
           });
     }
@@ -126,13 +134,12 @@ struct WireWorld {
 }
 
 TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
-  // Every batched wire verdict must be byte-identical to the scalar
-  // per-frame MacEngine::evaluate reference over shuffled streams at 3
-  // pinned seeds — including across a mid-stream policy reload.
+  // Every batched wire verdict must be byte-identical to per-frame
+  // admit() and to the string PolicySet::evaluate reference over shuffled
+  // streams at 3 pinned seeds — including across a mid-stream policy
+  // change, after which both adjudicators run over the new image.
   for (const std::uint64_t seed : {0xAAAAu, 0x1234u, 0xC0FEu}) {
     WireWorld world;
-    WireMac batched(world.table(), world.engine);
-    WireMac scalar(world.table(), world.engine);
     const std::vector<Frame> stream = shuffled_stream(seed, 4000);
     const std::size_t half = stream.size() / 2;
 
@@ -141,6 +148,8 @@ TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
     std::vector<std::uint8_t> got_scalar(stream.size());
 
     const auto run_segment = [&](std::size_t begin, std::size_t end) {
+      WireMac batched(world.table(), *world.image);
+      WireMac scalar(world.table(), *world.image);
       for (std::size_t i = begin; i < end; ++i) {
         want[i] = world.reference(stream[i]) ? 1 : 0;
         got_scalar[i] =
@@ -150,49 +159,67 @@ TEST(WireMacDifferential, BatchedMatchesScalarReferenceAcrossReload) {
           std::span<const Frame>(stream.data() + begin, end - begin),
           sim::SimTime{1ms} * end,
           std::span<std::uint8_t>(got_batched.data() + begin, end - begin));
+      EXPECT_GT(batched.stats().adjudicated, 0u);
+      EXPECT_GT(batched.stats().passed, 0u);
+      EXPECT_GT(batched.stats().unbound, 0u);
     };
 
     run_segment(0, half);
-    // Mid-stream policy reload: the conditional diag->doors rule flips.
-    world.engine.set_boolean("diag_mode", true);
+    // Mid-stream policy change: diag may now write doors in every mode,
+    // so 0x110 flips. The second segment runs over the recompiled image.
+    world.policy.add_rule({.id = "diag-doors-any", .subject = "diag",
+                           .object = "doors",
+                           .permission = threat::Permission::kWrite});
+    world.image = world.policy.image_ptr();
     run_segment(half, stream.size());
 
     EXPECT_EQ(got_batched, want) << "seed " << seed;
     EXPECT_EQ(got_scalar, want) << "seed " << seed;
-    // The reload must actually have changed something (0x110 flips).
-    EXPECT_TRUE(std::any_of(stream.begin(), stream.begin() + half,
-                            [&](const Frame& f) {
-                              return f.id().raw() == 0x110;
-                            }));
-    EXPECT_GT(batched.stats().adjudicated, 0u);
-    EXPECT_GT(batched.stats().passed, 0u);
-    EXPECT_GT(batched.stats().unbound, 0u);
+    // The change must actually have flipped something (0x110 in both
+    // halves, denied before and allowed after).
+    const auto doors_verdicts = [&](std::size_t begin, std::size_t end) {
+      std::vector<std::uint8_t> verdicts;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (stream[i].id().raw() == 0x110) verdicts.push_back(want[i]);
+      }
+      return verdicts;
+    };
+    const auto before = doors_verdicts(0, half);
+    const auto after = doors_verdicts(half, stream.size());
+    ASSERT_FALSE(before.empty());
+    ASSERT_FALSE(after.empty());
+    EXPECT_TRUE(std::all_of(before.begin(), before.end(),
+                            [](std::uint8_t v) { return v == 0; }));
+    EXPECT_TRUE(std::all_of(after.begin(), after.end(),
+                            [](std::uint8_t v) { return v == 1; }));
   }
 }
 
 TEST(WireMac, MultiCandidateSubjectsAreExistentialOr) {
   WireWorld world;
-  WireMac mac(world.table(), world.engine);
+  // ivi may never write doors; diag may only in the diagnostic mode. The
+  // OR over the two candidates must follow the table's mode.
+  WireMac normal(world.table(kNormal), *world.image);
+  WireMac diagnostic(world.table(kDiagnostic), *world.image);
   const Frame doors_cmd = make_frame(0x110, {1});
-  // ivi may not write doors; diag may not either until the boolean
-  // opens the gate — the OR over candidates must flip with it.
-  EXPECT_FALSE(mac.admit(doors_cmd, sim::SimTime{}));
-  world.engine.set_boolean("diag_mode", true);
-  EXPECT_TRUE(mac.admit(doors_cmd, sim::SimTime{}));
-  // Two candidate lanes rode the batch for each admit.
-  EXPECT_EQ(mac.stats().sid_requests, 4u);
-  EXPECT_EQ(mac.stats().adjudicated, 2u);
+  EXPECT_FALSE(normal.admit(doors_cmd, sim::SimTime{}));
+  EXPECT_TRUE(diagnostic.admit(doors_cmd, sim::SimTime{}));
+  // Both candidate lanes rode the batch of each admit.
+  for (const WireMac* mac : {&normal, &diagnostic}) {
+    EXPECT_EQ(mac->stats().sid_requests, 2u);
+    EXPECT_EQ(mac->stats().adjudicated, 1u);
+  }
 }
 
 TEST(WireMac, UnboundDefaultDenyAndOptOut) {
   WireWorld world;
-  WireMac deny(world.table(), world.engine);
+  WireMac deny(world.table(), *world.image);
   EXPECT_FALSE(deny.admit(make_frame(0x300, {}), sim::SimTime{}));
   EXPECT_EQ(deny.stats().unbound, 1u);
 
-  WireBindingTable::Builder open_builder;
+  WireBindingTable::Builder open_builder = world.builder();
   open_builder.set_unbound_allowed(true);
-  WireMac open(open_builder.build(), world.engine);
+  WireMac open(open_builder.build(), *world.image);
   EXPECT_TRUE(open.admit(make_frame(0x300, {}), sim::SimTime{}));
   EXPECT_EQ(open.stats().unbound, 0u);
 }
@@ -219,10 +246,10 @@ TEST(J1939Id, DecomposePdu1AndPdu2) {
 
 TEST(WireMac, J1939PgnBindingIgnoresDestination) {
   WireWorld world;
-  WireBindingTable::Builder b;
+  WireBindingTable::Builder b = world.builder();
   const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
   b.bind_pgn(0xDA00, ecu, world.sid("engine"), core::AccessType::kWrite);
-  WireMac mac(b.build(), world.engine);
+  WireMac mac(b.build(), *world.image);
   // Same PGN, two destinations: both classify to the same binding.
   EXPECT_TRUE(mac.admit(Frame(CanId::extended(0x18DA10F1), {}),
                         sim::SimTime{}));
@@ -235,12 +262,12 @@ TEST(WireMac, J1939PgnBindingIgnoresDestination) {
 
 TEST(WireMac, J1939PerSourceSubjects) {
   WireWorld world;
-  WireBindingTable::Builder b;
+  WireBindingTable::Builder b = world.builder();
   // Empty subject list: the source address table supplies the subject.
   b.bind_pgn(0xFEF1, {}, world.sid("engine"), core::AccessType::kWrite);
   b.j1939_source(0x03, world.sid("ecu"));   // may write engine
   b.j1939_source(0x42, world.sid("ivi"));   // may not
-  WireMac mac(b.build(), world.engine);
+  WireMac mac(b.build(), *world.image);
   EXPECT_TRUE(mac.admit(Frame(CanId::extended(0x18FEF103), {}),
                         sim::SimTime{}));
   EXPECT_FALSE(mac.admit(Frame(CanId::extended(0x18FEF142), {}),
@@ -254,8 +281,8 @@ TEST(WireMac, J1939PerSourceSubjects) {
 
 // -- ISO-TP flows -----------------------------------------------------------
 
-[[nodiscard]] WireBindingTable isotp_table(WireWorld& world) {
-  WireBindingTable::Builder b;
+[[nodiscard]] WireBindingTable isotp_table(const WireWorld& world) {
+  WireBindingTable::Builder b = world.builder();
   const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
   const std::array<mac::Sid, 1> ivi{world.sid("ivi")};
   b.bind_standard(0x500, ecu, world.sid("engine"), core::AccessType::kWrite,
@@ -273,7 +300,7 @@ TEST(WireMac, J1939PerSourceSubjects) {
 
 TEST(WireMacIsoTp, FlowAdjudicatedOnceCfsInherit) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames =
       isotp_segment(CanId::standard(0x500), payload_of(100));  // FF + 14 CFs
   std::vector<std::uint8_t> allowed(frames.size());
@@ -289,7 +316,7 @@ TEST(WireMacIsoTp, FlowAdjudicatedOnceCfsInherit) {
 
 TEST(WireMacIsoTp, CrossBatchFlowInheritsVerdict) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x500), payload_of(100));
   // FF alone in the first batch; CFs admitted one frame at a time.
   EXPECT_TRUE(mac.admit(frames[0], sim::SimTime{}));
@@ -302,7 +329,7 @@ TEST(WireMacIsoTp, CrossBatchFlowInheritsVerdict) {
 
 TEST(WireMacIsoTp, DeniedFlowDropsEveryFrame) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x510), payload_of(64));
   std::vector<std::uint8_t> allowed(frames.size());
   mac.adjudicate_batch(frames, sim::SimTime{}, allowed);
@@ -315,7 +342,7 @@ TEST(WireMacIsoTp, DeniedFlowDropsEveryFrame) {
 
 TEST(WireMacIsoTp, FlowControlPassesMalformedDrops) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   // FC pacing frame on a bound ISO-TP id: structural pass, no verdict.
   EXPECT_TRUE(mac.admit(make_frame(0x500, {0x30, 0, 0}), sim::SimTime{}));
   EXPECT_EQ(mac.stats().passed, 1u);
@@ -327,7 +354,7 @@ TEST(WireMacIsoTp, FlowControlPassesMalformedDrops) {
 
 TEST(WireMacIsoTp, FlowTimeoutForgetsVerdict) {
   WireWorld world;
-  WireMac mac(isotp_table(world), world.engine);
+  WireMac mac(isotp_table(world), *world.image);
   const auto frames = isotp_segment(CanId::standard(0x500), payload_of(64));
   EXPECT_TRUE(mac.admit(frames[0], sim::SimTime{}));
   // Past N_Cr the flow expires; the late CF is transport garbage.
@@ -355,8 +382,8 @@ struct DropLog final : WireDropSink {
 
 /// Classic ids of WireWorld::table(), ISO-TP ids 0x500 (allowed) and
 /// 0x510 (denied), J1939 PGNs bound per source and per list.
-[[nodiscard]] WireBindingTable mixed_table(WireWorld& world) {
-  WireBindingTable::Builder b;
+[[nodiscard]] WireBindingTable mixed_table(const WireWorld& world) {
+  WireBindingTable::Builder b = world.builder();
   const std::array<mac::Sid, 1> ecu{world.sid("ecu")};
   const std::array<mac::Sid, 1> ivi{world.sid("ivi")};
   const std::array<mac::Sid, 2> ivi_or_diag{world.sid("ivi"),
@@ -441,8 +468,8 @@ struct DropLog final : WireDropSink {
 TEST(WireMacDifferential, BatchOf256MatchesPerFrameAdmitUnderFuzz) {
   for (const std::uint64_t seed : {0x5EEDu, 0xF00Du, 0x7777u}) {
     WireWorld world;
-    WireMac batched(mixed_table(world), world.engine);
-    WireMac scalar(mixed_table(world), world.engine);
+    WireMac batched(mixed_table(world), *world.image);
+    WireMac scalar(mixed_table(world), *world.image);
     DropLog batched_drops;
     DropLog scalar_drops;
     batched.set_drop_sink(&batched_drops);
@@ -509,7 +536,7 @@ TEST(WireMacDifferential, BatchOf256MatchesPerFrameAdmitUnderFuzz) {
 
 TEST(WireDropMonitor, CountsByReasonAndId) {
   WireWorld world;
-  WireMac mac(world.table(), world.engine);
+  WireMac mac(world.table(), *world.image);
   monitor::WireDropMonitor drops;
   mac.set_drop_sink(&drops);
 
@@ -531,47 +558,6 @@ TEST(WireDropMonitor, CountsByReasonAndId) {
   drops.reset();
   EXPECT_EQ(drops.total(), 0u);
   EXPECT_EQ(drops.distinct_ids(), 0u);
-}
-
-// -- verdict-only shared batch parity (the mac/ entry point) ----------------
-
-TEST(MacEngineAllowedShared, MatchesDecisionPathExactly) {
-  WireWorld world;
-  const mac::Sid subjects[] = {world.sid("ecu"), world.sid("ivi"),
-                               world.sid("diag"), mac::kNullSid};
-  const mac::Sid objects[] = {world.sid("engine"), world.sid("telemetry"),
-                              world.sid("doors"), mac::kNullSid};
-  std::vector<core::SidRequest> requests;
-  for (const mac::Sid s : subjects) {
-    for (const mac::Sid o : objects) {
-      for (const core::AccessType a :
-           {core::AccessType::kRead, core::AccessType::kWrite}) {
-        requests.push_back(core::SidRequest{s, o, a, mac::kNullSid});
-      }
-    }
-  }
-  std::vector<core::Decision> decisions(requests.size());
-  std::vector<std::uint8_t> verdicts(requests.size());
-  world.engine.evaluate_batch_shared(requests, decisions);
-  world.engine.evaluate_batch_allowed_shared(requests, verdicts);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(verdicts[i] != 0, decisions[i].allowed) << i;
-  }
-  EXPECT_THROW(world.engine.evaluate_batch_allowed_shared(
-                   requests, std::span<std::uint8_t>(verdicts.data(), 1)),
-               std::invalid_argument);
-}
-
-TEST(MacEngineAllowedShared, PermissiveModeAllowsAndCounts) {
-  WireWorld world;
-  world.engine.set_permissive(true);
-  const core::SidRequest denied{world.sid("ivi"), world.sid("engine"),
-                                core::AccessType::kWrite, mac::kNullSid};
-  std::uint8_t verdict = 0;
-  const std::uint64_t before = world.engine.permissive_denials();
-  world.engine.evaluate_batch_allowed_shared({&denied, 1}, {&verdict, 1});
-  EXPECT_EQ(verdict, 1u);
-  EXPECT_EQ(world.engine.permissive_denials(), before + 1);
 }
 
 // -- BindingCompiler wire table --------------------------------------------
@@ -669,60 +655,68 @@ TEST(WireTable, DiagFramesPassWhereTheHpeAdmitsThem) {
   }
 }
 
-// -- concurrency torture (run under TSan in the wire-mac CI leg) ------------
+// -- concurrency (run under TSan in the wire-mac CI leg) --------------------
 
-TEST(WireMacTorture, ConcurrentPerBusAdjudicationDuringReload) {
-  // 4 buses, each with its OWN WireMac, all sharing ONE MacEngine
-  // through the seqlock read path, while the owner thread toggles a
-  // boolean. Per the snapshot-pinning contract every batch adjudicates
-  // entirely against generation A or generation B: the stable id is
-  // allowed in every batch, and the toggled id's verdict is uniform
-  // within each batch.
+TEST(WireMacTorture, PerBusMacsOverOneSealedImageMatchSingleThreadedRun) {
+  // Four buses, each with its OWN WireMac on its own thread, all
+  // adjudicating against ONE shared sealed image. Every thread's
+  // verdicts, stats and drop counts must equal a single-threaded run of
+  // the same stream.
+  constexpr std::size_t kBuses = 4;
+  constexpr std::size_t kBatch = 256;
   WireWorld world;
-  constexpr int kReaders = 4;
-  constexpr int kBatches = 200;
-  constexpr std::size_t kBatch = 64;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> violations{0};
+  struct Run {
+    std::vector<std::uint8_t> verdicts;
+    WireMacStats stats;
+    std::array<std::uint64_t, static_cast<std::size_t>(WireDropReason::kCount)>
+        drops{};
+  };
+  std::array<std::vector<Frame>, kBuses> streams;
+  std::array<WireBindingTable, kBuses> tables;
+  for (std::size_t bus = 0; bus < kBuses; ++bus) {
+    sim::Rng rng(0xB05 + bus);
+    streams[bus] = mixed_stream(rng, kBatch * 16);
+    tables[bus] = mixed_table(world);
+  }
+  const auto run = [&world](const std::vector<Frame>& stream,
+                            WireBindingTable table) {
+    WireMac mac(std::move(table), *world.image);
+    Run out;
+    out.verdicts.resize(stream.size());
+    sim::SimTime at{};
+    for (std::size_t base = 0; base < stream.size(); base += kBatch) {
+      at += 100ms;
+      mac.adjudicate_batch(
+          std::span<const Frame>(stream.data() + base, kBatch), at,
+          std::span<std::uint8_t>(out.verdicts.data() + base, kBatch));
+    }
+    out.stats = mac.stats();
+    out.drops = mac.drops_by_reason();
+    return out;
+  };
 
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&world, &violations, r]() {
-      WireMac mac(world.table(), world.engine);
-      std::vector<Frame> frames;
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        // Alternate the always-allowed id and the toggled id.
-        frames.push_back(make_frame(i % 2 == 0 ? 0x100 : 0x110,
-                                    {static_cast<std::uint8_t>(r)}));
-      }
-      std::vector<std::uint8_t> allowed(frames.size());
-      for (int batch = 0; batch < kBatches; ++batch) {
-        mac.adjudicate_batch(frames, sim::SimTime{1ms} * batch, allowed);
-        std::uint8_t toggled_first = 2;  // sentinel
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-          if (i % 2 == 0) {
-            if (allowed[i] != 1) violations.fetch_add(1);
-            continue;
-          }
-          if (toggled_first == 2) toggled_first = allowed[i];
-          if (allowed[i] != toggled_first) violations.fetch_add(1);
-        }
-      }
+  std::array<Run, kBuses> want;
+  for (std::size_t bus = 0; bus < kBuses; ++bus) {
+    want[bus] = run(streams[bus], tables[bus]);
+  }
+  std::array<Run, kBuses> got;
+  std::vector<std::thread> threads;
+  threads.reserve(kBuses);
+  for (std::size_t bus = 0; bus < kBuses; ++bus) {
+    threads.emplace_back([&, bus] {
+      got[bus] = run(streams[bus], std::move(tables[bus]));
     });
   }
-  std::thread owner([&world, &stop]() {
-    bool value = true;
-    while (!stop.load(std::memory_order_relaxed)) {
-      world.engine.set_boolean("diag_mode", value);
-      value = !value;
-      std::this_thread::yield();
-    }
-  });
-  for (std::thread& t : readers) t.join();
-  stop.store(true);
-  owner.join();
-  EXPECT_EQ(violations.load(), 0u);
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t bus = 0; bus < kBuses; ++bus) {
+    EXPECT_EQ(got[bus].verdicts, want[bus].verdicts) << "bus " << bus;
+    EXPECT_TRUE(got[bus].stats == want[bus].stats) << "bus " << bus;
+    EXPECT_EQ(got[bus].drops, want[bus].drops) << "bus " << bus;
+    // Each stream reaches allows and policy denials.
+    EXPECT_GT(want[bus].stats.allowed, 0u) << "bus " << bus;
+    EXPECT_GT(want[bus].stats.denied, 0u) << "bus " << bus;
+  }
 }
 
 }  // namespace
