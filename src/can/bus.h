@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "can/channel.h"
@@ -148,7 +148,7 @@ class Bus {
   std::uint64_t frames_corrupted_ = 0;
   std::uint64_t arbitration_rounds_ = 0;
   /// id key -> per-port successful-transmission counts (see tx_attribution).
-  std::map<std::uint64_t, std::vector<std::uint64_t>> tx_by_id_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> tx_by_id_;
   sim::SimDuration busy_time_{0};
 };
 

@@ -1,7 +1,7 @@
 #include "can/wire_mac.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace psme::can {
 
@@ -67,7 +67,6 @@ WireBindingTable::Builder& WireBindingTable::Builder::bind_standard(
   b.isotp = isotp;
   table_.subjects_.insert(table_.subjects_.end(), subjects.begin(),
                           subjects.end());
-  table_.max_subjects_ = std::max(table_.max_subjects_, subjects.size());
   table_.std_slots_[id] = static_cast<std::int32_t>(table_.bindings_.size());
   table_.bindings_.push_back(b);
   return *this;
@@ -84,9 +83,6 @@ WireBindingTable::Builder& WireBindingTable::Builder::bind_pgn(
   b.isotp = isotp;
   table_.subjects_.insert(table_.subjects_.end(), subjects.begin(),
                           subjects.end());
-  table_.max_subjects_ =
-      std::max<std::size_t>(table_.max_subjects_,
-                            subjects.empty() ? 1 : subjects.size());
   table_.pgn_slots_[pgn] = static_cast<std::int32_t>(table_.bindings_.size());
   table_.bindings_.push_back(b);
   return *this;
@@ -118,7 +114,42 @@ WireBindingTable WireBindingTable::Builder::build() {
 
 WireMac::WireMac(WireBindingTable table,
                  const core::CompiledPolicyImage& image)
-    : table_(std::move(table)), image_(image) {}
+    : table_(std::move(table)) {
+  // One lane per (binding, candidate subject), or per mapped source
+  // address of a per-source binding; lane_target[i] is the verdict byte
+  // lane i ORs into.
+  std::vector<core::SidRequest> lanes;
+  std::vector<std::uint32_t> lane_target;
+  const mac::Sid mode = table_.mode_sid();
+  verdict_base_.reserve(table_.binding_count());
+  for (std::size_t slot = 0; slot < table_.binding_count(); ++slot) {
+    const WireBindingTable::Binding& binding =
+        table_.binding(static_cast<std::int32_t>(slot));
+    const auto base = static_cast<std::uint32_t>(verdicts_.size());
+    verdict_base_.push_back(base);
+    if (binding.subject_count == 0) {
+      verdicts_.resize(verdicts_.size() + 256, 0);
+      for (unsigned address = 0; address < 256; ++address) {
+        const mac::Sid subject =
+            table_.j1939_subject(static_cast<std::uint8_t>(address));
+        if (subject == mac::kNullSid) continue;  // unbound, never asked
+        lanes.push_back({subject, binding.object, binding.access, mode});
+        lane_target.push_back(base + address);
+      }
+      continue;
+    }
+    verdicts_.push_back(0);
+    for (const mac::Sid subject : table_.subjects_of(binding)) {
+      lanes.push_back({subject, binding.object, binding.access, mode});
+      lane_target.push_back(base);
+    }
+  }
+  std::vector<std::uint8_t> allowed(lanes.size());
+  image.evaluate_batch_allowed(lanes, allowed);
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    verdicts_[lane_target[i]] |= allowed[i];
+  }
+}
 
 void WireMac::count_drop(const Frame& frame, WireDropReason reason,
                          sim::SimTime at) {
@@ -135,6 +166,7 @@ void WireMac::count_drop(const Frame& frame, WireDropReason reason,
 }
 
 void WireMac::expire_flows(sim::SimTime now) {
+  if (reassembler_.open_conversations() == 0) return;
   for (const CanId id : reassembler_.expire(now)) {
     flow_verdicts_.erase(flow_key_of(id));
     ++stats_.flow_timeouts;
@@ -142,140 +174,105 @@ void WireMac::expire_flows(sim::SimTime now) {
   }
 }
 
-void WireMac::forget_flow(Plan& plan, std::uint64_t key) {
-  // Erased now for this batch's later frames, and again by the apply pass
-  // in stream order, after a same-batch FF has recorded its verdict.
-  flow_verdicts_.erase(key);
-  batch_flow_leaders_.erase(key);
-  plan.flow_op = Plan::FlowOp::kForget;
-  plan.flow_key = key;
+bool WireMac::verdict(const Frame& frame, std::int32_t slot,
+                      std::uint8_t source, sim::SimTime at) {
+  const WireBindingTable::Binding& binding = table_.binding(slot);
+  const bool per_source = binding.subject_count == 0;
+  ++stats_.adjudicated;
+  stats_.sid_requests += per_source ? 1 : binding.subject_count;
+  const std::uint32_t index = verdict_base_[static_cast<std::size_t>(slot)] +
+                              (per_source ? source : 0u);
+  const bool allowed = verdicts_[index] != 0;
+  if (!allowed) count_drop(frame, WireDropReason::kPolicyDenied, at);
+  return allowed;
 }
 
-WireMac::Plan WireMac::classify(const Frame& frame, sim::SimTime at) {
-  Plan plan;
-  const CanId id = frame.id();
+bool WireMac::ride_flow(const Frame& frame, std::uint64_t key,
+                        sim::SimTime at) {
+  const auto it = flow_verdicts_.find(key);
+  // Conversation open but no verdict: a malformed SF mid-flow is a
+  // transport error that erased the verdict while the reassembler kept
+  // the flow open, so its next CF lands here. Fail closed.
+  if (it == flow_verdicts_.end() || !it->second) {
+    count_drop(frame, WireDropReason::kFlowDenied, at);
+    return false;
+  }
+  ++stats_.flow_frames;
+  return true;
+}
 
+bool WireMac::admit(const Frame& frame, sim::SimTime at) {
+  expire_flows(at);
+  ++stats_.frames;
+  const bool allowed = decide(frame, at);
+  if (allowed) ++stats_.allowed;
+  return allowed;
+}
+
+bool WireMac::decide(const Frame& frame, sim::SimTime at) {
+  const CanId id = frame.id();
   std::int32_t slot;
-  std::span<const mac::Sid> subjects;
-  mac::Sid j1939_single = mac::kNullSid;
+  std::uint8_t source = 0;
   if (!id.is_extended()) {
     slot = table_.standard_slot(id.raw());
   } else {
     const J1939Id j = J1939Id::decompose(id.raw());
     slot = table_.pgn_slot(j.pgn);
-    if (slot >= 0 && table_.binding(slot).subject_count == 0) {
-      j1939_single = table_.j1939_subject(j.src);
-      if (j1939_single == mac::kNullSid) slot = WireBindingTable::kUnboundSlot;
+    source = j.src;
+    if (slot >= 0 && table_.binding(slot).subject_count == 0 &&
+        table_.j1939_subject(source) == mac::kNullSid) {
+      slot = WireBindingTable::kUnboundSlot;
     }
   }
 
-  if (slot == WireBindingTable::kPassSlot) {
-    plan.kind = Plan::Kind::kPass;
-    return plan;
+  if (slot == WireBindingTable::kPassSlot ||
+      (slot == WireBindingTable::kUnboundSlot && table_.unbound_allowed())) {
+    ++stats_.passed;
+    return true;
   }
   if (slot == WireBindingTable::kUnboundSlot) {
-    if (table_.unbound_allowed()) {
-      plan.kind = Plan::Kind::kPass;
-    } else {
-      plan.kind = Plan::Kind::kDrop;
-      plan.reason = WireDropReason::kUnbound;
-    }
-    return plan;
+    count_drop(frame, WireDropReason::kUnbound, at);
+    return false;
   }
-
-  const WireBindingTable::Binding& binding = table_.binding(slot);
-  if (binding.subject_count != 0) subjects = table_.subjects_of(binding);
-
-  const auto emit_lanes = [&]() {
-    plan.kind = Plan::Kind::kAdjudicate;
-    plan.lane_offset = static_cast<std::uint32_t>(lanes_.size());
-    const mac::Sid mode = table_.mode_sid();
-    if (binding.subject_count == 0) {
-      plan.lane_count = 1;
-      lanes_.push_back(core::SidRequest{j1939_single, binding.object,
-                                        binding.access, mode});
-      return;
-    }
-    plan.lane_count = binding.subject_count;
-    for (const mac::Sid subject : subjects) {
-      lanes_.push_back(
-          core::SidRequest{subject, binding.object, binding.access, mode});
-    }
-  };
-
-  if (!binding.isotp) {
-    emit_lanes();
-    return plan;
-  }
+  if (!table_.binding(slot).isotp) return verdict(frame, slot, source, at);
 
   // ISO-TP id: the transport state machine decides whether this frame
-  // buys a verdict (SF, FF) or rides the flow's (CF).
+  // takes the binding's verdict (SF, FF) or rides the flow's (CF).
   const std::uint64_t key = flow_key_of(id);
   const IsoTpReassembler::Event event = reassembler_.feed(frame, at);
   switch (event.kind) {
-    case IsoTpReassembler::EventKind::kMessageComplete:
-      if (event.message != nullptr && isotp_frame_type(frame) ==
-                                          IsoTpFrameType::kSingle) {
-        // A whole message in one frame adjudicates like a plain frame;
-        // it also tore down any half-open flow on the id.
-        forget_flow(plan, key);
-        emit_lanes();
-        return plan;
+    case IsoTpReassembler::EventKind::kMessageComplete: {
+      // A whole message in one frame adjudicates like a plain frame; a
+      // final CF rides the flow. Either way the id's flow is over.
+      if (event.message != nullptr &&
+          isotp_frame_type(frame) == IsoTpFrameType::kSingle) {
+        flow_verdicts_.erase(key);
+        return verdict(frame, slot, source, at);
       }
-      // Final CF: inherit the flow verdict, then forget the flow.
-      plan.flow_op = Plan::FlowOp::kForget;
-      [[fallthrough]];
-    case IsoTpReassembler::EventKind::kPayloadFrame: {
-      plan.flow_key = key;
-      const auto leader = batch_flow_leaders_.find(key);
-      if (leader != batch_flow_leaders_.end()) {
-        plan.kind = Plan::Kind::kInheritFlow;
-        plan.flow_leader = leader->second;
-        if (plan.flow_op == Plan::FlowOp::kForget) {
-          batch_flow_leaders_.erase(leader);
-        }
-        return plan;
-      }
-      const auto verdict = flow_verdicts_.find(key);
-      if (verdict == flow_verdicts_.end()) {
-        // Conversation open but no verdict: a malformed SF mid-flow is a
-        // transport error that erased the verdict (forget_flow) while the
-        // reassembler kept the flow open, so its next CF lands here.
-        // Fail closed.
-        plan.kind = Plan::Kind::kDrop;
-        plan.reason = WireDropReason::kFlowDenied;
-        return plan;
-      }
-      plan.kind = Plan::Kind::kCachedFlow;
-      plan.cached_allowed = verdict->second;
-      return plan;
+      const bool ok = ride_flow(frame, key, at);
+      flow_verdicts_.erase(key);
+      return ok;
     }
-    case IsoTpReassembler::EventKind::kMessageStart:
-      // The FF buys the flow's verdict; same-batch CFs inherit it by
-      // frame index, later batches through flow_verdicts_.
-      emit_lanes();
-      plan.flow_op = Plan::FlowOp::kRecord;
-      plan.flow_key = key;
-      return plan;
+    case IsoTpReassembler::EventKind::kPayloadFrame:
+      return ride_flow(frame, key, at);
+    case IsoTpReassembler::EventKind::kMessageStart: {
+      // The FF takes the flow's verdict; its CFs inherit it.
+      const bool ok = verdict(frame, slot, source, at);
+      flow_verdicts_[key] = ok;
+      ++stats_.flow_starts;
+      return ok;
+    }
     case IsoTpReassembler::EventKind::kError:
-      forget_flow(plan, key);
-      plan.kind = Plan::Kind::kDrop;
-      plan.reason = WireDropReason::kMalformedIsoTp;
-      return plan;
+      flow_verdicts_.erase(key);
+      count_drop(frame, WireDropReason::kMalformedIsoTp, at);
+      return false;
     case IsoTpReassembler::EventKind::kNone:
       // Flow control: receiver pacing, carries no adjudicable payload.
-      plan.kind = Plan::Kind::kPass;
-      return plan;
+      ++stats_.passed;
+      return true;
   }
-  plan.kind = Plan::Kind::kDrop;
-  plan.reason = WireDropReason::kMalformedIsoTp;
-  return plan;
-}
-
-bool WireMac::admit(const Frame& frame, sim::SimTime at) {
-  std::uint8_t allowed = 0;
-  adjudicate_batch({&frame, 1}, at, {&allowed, 1});
-  return allowed != 0;
+  count_drop(frame, WireDropReason::kMalformedIsoTp, at);
+  return false;
 }
 
 void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
@@ -284,76 +281,8 @@ void WireMac::adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
     throw std::invalid_argument(
         "WireMac::adjudicate_batch: span lengths differ");
   }
-  expire_flows(at);
-
-  // Classify pass: one plan per frame, SID lanes accumulated for ONE
-  // backend call.
-  plans_.clear();
-  lanes_.clear();
-  batch_flow_leaders_.clear();
-  plans_.reserve(frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    Plan plan = classify(frames[i], at);
-    if (plan.flow_op == Plan::FlowOp::kRecord) {
-      batch_flow_leaders_[plan.flow_key] = static_cast<std::uint32_t>(i);
-    }
-    plans_.push_back(plan);
-  }
-
-  lane_verdicts_.resize(lanes_.size());
-  if (!lanes_.empty()) {
-    image_.evaluate_batch_allowed(lanes_, lane_verdicts_);
-  }
-
-  // Apply pass: resolve each plan to a verdict, in stream order so flow
-  // bookkeeping (record, inherit, complete) sees a consistent timeline.
-  stats_.frames += frames.size();
-  stats_.sid_requests += lanes_.size();
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const Plan& plan = plans_[i];
-    bool allowed = false;
-    switch (plan.kind) {
-      case Plan::Kind::kPass:
-        allowed = true;
-        ++stats_.passed;
-        break;
-      case Plan::Kind::kDrop:
-        count_drop(frames[i], plan.reason, at);
-        break;
-      case Plan::Kind::kAdjudicate: {
-        ++stats_.adjudicated;
-        for (std::uint32_t lane = plan.lane_offset;
-             lane < plan.lane_offset + plan.lane_count; ++lane) {
-          if (lane_verdicts_[lane] != 0) {
-            allowed = true;
-            break;
-          }
-        }
-        if (plan.flow_op == Plan::FlowOp::kRecord) {
-          flow_verdicts_[plan.flow_key] = allowed;
-          ++stats_.flow_starts;
-        }
-        if (!allowed) count_drop(frames[i], WireDropReason::kPolicyDenied, at);
-        break;
-      }
-      case Plan::Kind::kInheritFlow:
-      case Plan::Kind::kCachedFlow: {
-        allowed = plan.kind == Plan::Kind::kInheritFlow
-                      ? allowed_out[plan.flow_leader] != 0
-                      : plan.cached_allowed;
-        if (allowed) {
-          ++stats_.flow_frames;
-        } else {
-          count_drop(frames[i], WireDropReason::kFlowDenied, at);
-        }
-        break;
-      }
-    }
-    if (plan.flow_op == Plan::FlowOp::kForget) {
-      flow_verdicts_.erase(plan.flow_key);
-    }
-    if (allowed) ++stats_.allowed;
-    allowed_out[i] = allowed ? 1 : 0;
+    allowed_out[i] = admit(frames[i], at) ? 1 : 0;
   }
 }
 

@@ -4,33 +4,37 @@
 // paper's promise is enforcement ON the traffic. WireMac closes the gap:
 // it classifies every received CAN frame into the policy's SID space —
 // 11-bit ids through a dense O(1) binding table, 29-bit J1939 ids by
-// src/dest/PGN decomposition — and adjudicates whole bus batches through
-// the vectorised verdict-only decision core, so the hot path never
-// materialises a Decision object or touches a string.
+// src/dest/PGN decomposition — and answers it from verdicts compiled
+// when the WireMac is built, so the hot path is a table lookup that
+// never asks the policy again, never builds a Decision and never touches
+// a string.
 //
-// Classification maps an identifier to (candidate subjects, object,
-// access). Candidate subjects encode the binding layer's ∃-semantics
-// directly on the wire: a command id is legitimate iff SOME entry point
-// may write the asset, so the binding lists every plausible commander
-// and the wire verdict is the OR of the per-candidate policy answers —
-// all candidates ride the same batch, so the OR costs no extra backend
-// calls, only extra lanes.
+// Classification maps an identifier to a binding: (candidate subjects,
+// object, access). Candidate subjects encode the binding layer's
+// ∃-semantics directly on the wire: a command id is legitimate iff SOME
+// entry point may write the asset, so the binding lists every plausible
+// commander and its verdict is the OR of the per-candidate policy
+// answers. The constructor asks every (binding, candidate) question in
+// one evaluate_batch_allowed call over a sealed core::CompiledPolicyImage,
+// with the table's mode SID stamped on every request so mode-conditional
+// rules resolve, and keeps one verdict byte per binding — a 256-entry
+// row, one per source address, for a J1939 binding whose subject is the
+// sender's address. That is exact: an image never changes and the table
+// is immutable (DESIGN.md §3), so every verdict is fixed at construction.
 //
 // Multi-frame ISO-TP conversations are adjudicated ONCE per flow: the
-// FirstFrame buys a verdict, ConsecutiveFrames inherit it (allowed flows
-// pass, denied flows drop every subsequent frame), FlowControl pacing
-// passes untouched, and malformed transport frames drop with their own
-// reason. Denied means DROPPED at the controller before the application
-// processor sees the frame, counted into ControllerStats::rx_wire_denied
-// and reported per-frame to a WireDropSink (monitor::WireDropMonitor).
+// FirstFrame takes its binding's verdict, ConsecutiveFrames inherit it
+// (allowed flows pass, denied flows drop every subsequent frame),
+// FlowControl pacing passes untouched, and malformed transport frames
+// drop with their own reason. Denied means DROPPED at the controller
+// before the application processor sees the frame, counted into
+// ControllerStats::rx_wire_denied and reported per-frame to a
+// WireDropSink (monitor::WireDropMonitor).
 //
-// The backend is a sealed core::CompiledPolicyImage: each batch makes one
-// evaluate_batch_allowed call with the table's mode SID stamped on every
-// request, so mode-conditional rules resolve on the wire. The image is
-// immutable, so any number of per-bus WireMacs may adjudicate against
-// one image from different threads (DESIGN.md "Concurrency model"). One
-// WireMac itself is owner-only: it owns reassembly and flow-verdict
-// state, so each bus (thread) needs its own.
+// The image is read only while the WireMac is built, so it need not
+// outlive it; a policy change is a new image and new WireMacs. One
+// WireMac is owner-only: it owns reassembly and flow-verdict state, so
+// each bus (thread) needs its own.
 #pragma once
 
 #include <array>
@@ -151,10 +155,6 @@ class WireBindingTable {
   [[nodiscard]] std::size_t binding_count() const noexcept {
     return bindings_.size();
   }
-  /// Widest candidate-subject list of any binding (batch sizing aid).
-  [[nodiscard]] std::size_t max_subjects() const noexcept {
-    return max_subjects_;
-  }
 
  private:
   std::array<std::int32_t, 2048> std_slots_{};
@@ -164,7 +164,6 @@ class WireBindingTable {
   std::array<mac::Sid, 256> j1939_sources_{};  // kNullSid = unmapped
   mac::Sid mode_sid_ = mac::kNullSid;
   bool unbound_allowed_ = false;
-  std::size_t max_subjects_ = 0;
 };
 
 class WireBindingTable::Builder {
@@ -209,8 +208,8 @@ class WireBindingTable::Builder {
 struct WireMacStats {
   std::uint64_t frames = 0;         // frames presented
   std::uint64_t passed = 0;         // structural pass-through
-  std::uint64_t adjudicated = 0;    // frames that bought a policy verdict
-  std::uint64_t sid_requests = 0;   // SID lanes sent to the backend
+  std::uint64_t adjudicated = 0;    // frames that took a policy verdict
+  std::uint64_t sid_requests = 0;   // SID lanes the verdicts covered
   std::uint64_t allowed = 0;        // frames admitted (any path)
   std::uint64_t denied = 0;         // policy denials (kPolicyDenied)
   std::uint64_t unbound = 0;        // deny-by-default drops
@@ -226,9 +225,9 @@ struct WireMacStats {
 /// The wire-rate adjudicator for one bus. See file comment.
 class WireMac {
  public:
-  /// Adjudicates through the image's staged batch pipeline with the
-  /// table's mode SID stamped on every request. The image must outlive
-  /// the WireMac.
+  /// Compiles every binding's verdict against `image` with the table's
+  /// mode SID stamped on every request. The image is read only here:
+  /// it need not outlive the WireMac.
   WireMac(WireBindingTable table, const core::CompiledPolicyImage& image);
 
   WireMac(const WireMac&) = delete;
@@ -237,19 +236,16 @@ class WireMac {
   /// Adjudicates one frame (the controller ingress hook). True = admit.
   [[nodiscard]] bool admit(const Frame& frame, sim::SimTime at);
 
-  /// Adjudicates a bus-sized batch: `allowed_out[i]` is 1 iff
-  /// `frames[i]` is admitted. ONE backend batch call serves the whole
-  /// span, so per-frame cost approaches the vectorised core's
-  /// ns/decision. Byte-identical to per-frame admit() on the same
-  /// stream (test-pinned). Throws std::invalid_argument when the spans
-  /// differ in length.
+  /// admit() over a span at one timestamp: `allowed_out[i]` is 1 iff
+  /// `frames[i]` is admitted. Throws std::invalid_argument when the
+  /// spans differ in length.
   void adjudicate_batch(std::span<const Frame> frames, sim::SimTime at,
                         std::span<std::uint8_t> allowed_out);
 
   /// Expires ISO-TP flows idle past the reassembler's CF timeout and
-  /// forgets their verdicts. admit()/adjudicate_batch() call this with
-  /// their own timestamp, so explicit calls are only needed to force
-  /// expiry while no traffic flows.
+  /// forgets their verdicts. admit() calls this with its own timestamp,
+  /// so explicit calls are only needed to force expiry while no traffic
+  /// flows.
   void expire_flows(sim::SimTime now);
 
   void set_drop_sink(WireDropSink* sink) noexcept { drop_sink_ = sink; }
@@ -270,54 +266,31 @@ class WireMac {
   }
 
  private:
-  /// Per-frame adjudication plan, built by the classify pass.
-  struct Plan {
-    enum class Kind : std::uint8_t {
-      kPass,        // structural allow, no verdict
-      kDrop,        // verdict known without the backend (reason below)
-      kAdjudicate,  // lanes [lane_offset, lane_offset+lane_count) decide
-      kInheritFlow, // copy the verdict of frames[flow_leader] (same batch)
-      kCachedFlow,  // verdict resolved from the cross-batch flow map
-    };
-    enum class FlowOp : std::uint8_t {
-      kNone,      // no flow bookkeeping
-      kRecord,    // store this frame's verdict under flow_key (FF)
-      kForget,    // forget flow_key's verdict after applying (final CF,
-                  // SF or transport error on the flow's id)
-    };
-    Kind kind = Kind::kPass;
-    FlowOp flow_op = FlowOp::kNone;
-    WireDropReason reason = WireDropReason::kPolicyDenied;
-    std::uint32_t lane_offset = 0;
-    std::uint16_t lane_count = 0;
-    std::uint32_t flow_leader = 0;
-    bool cached_allowed = false;
-    std::uint64_t flow_key = 0;
-  };
+  /// admit() without the expiry check and the frame/allowed counts.
+  [[nodiscard]] bool decide(const Frame& frame, sim::SimTime at);
 
-  /// Builds the plan and SID lanes for frames[i]; appends to lanes_.
-  [[nodiscard]] Plan classify(const Frame& frame, sim::SimTime at);
+  /// The compiled verdict of binding `slot` for a frame from J1939
+  /// source address `source`, counted as one adjudication (a policy
+  /// denial is counted as a drop of `frame`).
+  [[nodiscard]] bool verdict(const Frame& frame, std::int32_t slot,
+                             std::uint8_t source, sim::SimTime at);
 
-  /// Tears down the flow on `key` (SF or transport error on its id), now
-  /// for classification and, through `plan`, again at apply time.
-  void forget_flow(Plan& plan, std::uint64_t key);
+  /// Verdict of the open ISO-TP flow `key` for a CF riding it.
+  [[nodiscard]] bool ride_flow(const Frame& frame, std::uint64_t key,
+                               sim::SimTime at);
 
   void count_drop(const Frame& frame, WireDropReason reason, sim::SimTime at);
 
   WireBindingTable table_;
-  const core::CompiledPolicyImage& image_;
+  /// verdict_base_[slot] indexes the binding's byte in verdicts_ (the
+  /// start of its 256-byte per-source row when subject_count == 0);
+  /// a byte is 1 iff some candidate subject may access the object.
+  std::vector<std::uint32_t> verdict_base_;
+  std::vector<std::uint8_t> verdicts_;
 
   IsoTpReassembler reassembler_;
   /// Verdict of the open ISO-TP flow on an id (key as in isotp.cpp).
   std::unordered_map<std::uint64_t, bool> flow_verdicts_;
-  /// Flows whose FF sits in the CURRENT batch: flow key -> leader frame
-  /// index, so same-batch CFs inherit a verdict not yet computed.
-  std::unordered_map<std::uint64_t, std::uint32_t> batch_flow_leaders_;
-
-  // Batch scratch, reused across calls.
-  std::vector<Plan> plans_;
-  std::vector<core::SidRequest> lanes_;
-  std::vector<std::uint8_t> lane_verdicts_;
 
   WireDropSink* drop_sink_ = nullptr;
   WireMacStats stats_;

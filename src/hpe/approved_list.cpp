@@ -5,24 +5,31 @@
 
 namespace psme::hpe {
 
-void ApprovedIdList::add(can::CanId id) { exact_.insert(key(id)); }
+void ApprovedIdList::add(can::CanId id) {
+  exact_.insert(key(id));
+  if (!id.is_extended()) standard_.set(id.raw());
+}
 
 void ApprovedIdList::add_masked(MaskedEntry entry) {
   masked_.push_back(entry);
 }
 
 bool ApprovedIdList::remove(can::CanId id) {
+  if (!id.is_extended()) standard_.reset(id.raw());
   return exact_.erase(key(id)) != 0;
 }
 
 bool ApprovedIdList::contains(can::CanId id) const noexcept {
-  if (exact_.count(key(id)) != 0) return true;
+  const bool exact = id.is_extended() ? exact_.count(key(id)) != 0
+                                      : standard_[id.raw()];
+  if (exact) return true;
   return std::any_of(masked_.begin(), masked_.end(),
                      [id](const MaskedEntry& e) { return e.matches(id); });
 }
 
 void ApprovedIdList::clear() noexcept {
   exact_.clear();
+  standard_.reset();
   masked_.clear();
 }
 

@@ -4,10 +4,12 @@
 // messages IDs that provides necessary information to the node ..."
 // (paper Sec. V-B.2, Fig. 4). Hardware implementations hold such lists in
 // CAM/LUT structures supporting exact entries and masked entries; both are
-// modelled, and lookup cost is O(exact: log n, masked: m) to mirror a
-// realistic priority-encoded TCAM fallback.
+// modelled. An exact standard id is one bit of a 2048-bit LUT, an exact
+// extended id a log n set lookup, and masked entries a linear scan (m)
+// to mirror a realistic priority-encoded TCAM fallback.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -55,6 +57,9 @@ class ApprovedIdList {
   }
 
   std::set<std::uint64_t> exact_;
+  /// The standard ids of exact_, one bit each: contains() answers every
+  /// standard frame with one bit test. add/remove/clear keep it in step.
+  std::bitset<can::CanId::kMaxStandard + 1> standard_;
   std::vector<MaskedEntry> masked_;
 };
 

@@ -14,7 +14,7 @@ namespace {
 
 // Reference bitstream: the original std::vector<bool> construction of
 // CRC-15 and the stuffed wire length, kept verbatim as an oracle for the
-// fixed-buffer implementation.
+// byte-packed, table-driven implementation.
 namespace reference {
 
 void push_bits(std::vector<bool>& bits, std::uint32_t value, int width) {

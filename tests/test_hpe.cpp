@@ -2,11 +2,15 @@
 // read/write filtering, transparency, mode snooping, tamper resistance.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "can/bus.h"
 #include "can/controller.h"
 #include "core/update.h"
 #include "hpe/approved_list.h"
 #include "hpe/hpe.h"
+#include "sim/rng.h"
 
 namespace psme::hpe {
 namespace {
@@ -49,6 +53,94 @@ TEST(ApprovedIdList, ToStringListsEntries) {
   const std::string s = list.to_string();
   EXPECT_NE(s.find("0x42"), std::string::npos);
   EXPECT_NE(s.find("mask=0x700"), std::string::npos);
+}
+
+TEST(ApprovedIdList, BitsetAgreesWithSetOracle) {
+  // A seeded churn of add/remove/clear/add_masked over every standard id
+  // and a pool of extended ids (including the extended twins of small
+  // standard raws): after every step contains() must equal a std::set of
+  // exact keys plus a linear masked-entry oracle, for every standard id
+  // and every pooled extended id.
+  sim::Rng rng(0xB175E7);
+  std::vector<std::uint32_t> extended_pool;
+  for (std::uint32_t raw = 0; raw < 16; ++raw) extended_pool.push_back(raw);
+  for (int i = 0; i < 48; ++i) {
+    extended_pool.push_back(
+        static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxExtended)));
+  }
+  const auto oracle_key = [](CanId id) {
+    return (static_cast<std::uint64_t>(id.is_extended()) << 32) | id.raw();
+  };
+
+  ApprovedIdList list;
+  std::set<std::uint64_t> exact;
+  std::vector<MaskedEntry> masked;
+  const auto oracle = [&](CanId id) {
+    if (exact.count(oracle_key(id)) != 0) return true;
+    for (const MaskedEntry& e : masked) {
+      if (e.extended == id.is_extended() &&
+          (id.raw() & e.mask) == (e.value & e.mask)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto random_id = [&] {
+    if (rng.chance(0.25)) {
+      return CanId::extended(
+          extended_pool[rng.uniform(0, extended_pool.size() - 1)]);
+    }
+    return CanId::standard(
+        static_cast<std::uint32_t>(rng.uniform(0, CanId::kMaxStandard)));
+  };
+
+  std::vector<CanId> added;  // removal targets: mostly ids once added
+  std::size_t removed_present = 0;
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.uniform(0, 99);
+    if (op < 55) {
+      const CanId id = random_id();
+      list.add(id);
+      exact.insert(oracle_key(id));
+      added.push_back(id);
+    } else if (op < 92) {
+      const CanId id = !added.empty() && rng.chance(0.8)
+                           ? added[rng.uniform(0, added.size() - 1)]
+                           : random_id();
+      const bool present = exact.erase(oracle_key(id)) != 0;
+      EXPECT_EQ(list.remove(id), present);
+      if (present) ++removed_present;
+    } else if (op < 99) {
+      // Narrow families (4 ids each), so masks do not hide the exact path.
+      const bool extended = rng.chance(0.5);
+      const MaskedEntry entry{
+          extended ? CanId::kMaxExtended & ~3u : CanId::kMaxStandard & ~3u,
+          extended ? extended_pool[rng.uniform(0, extended_pool.size() - 1)]
+                   : static_cast<std::uint32_t>(
+                         rng.uniform(0, CanId::kMaxStandard)),
+          extended};
+      list.add_masked(entry);
+      masked.push_back(entry);
+    } else {
+      list.clear();
+      exact.clear();
+      masked.clear();
+      added.clear();
+    }
+    ASSERT_EQ(list.exact_count(), exact.size()) << "step " << step;
+    ASSERT_EQ(list.masked_count(), masked.size()) << "step " << step;
+    for (std::uint32_t raw = 0; raw <= CanId::kMaxStandard; ++raw) {
+      ASSERT_EQ(list.contains(CanId::standard(raw)),
+                oracle(CanId::standard(raw)))
+          << "step " << step << " std 0x" << std::hex << raw;
+    }
+    for (const std::uint32_t raw : extended_pool) {
+      ASSERT_EQ(list.contains(CanId::extended(raw)),
+                oracle(CanId::extended(raw)))
+          << "step " << step << " ext 0x" << std::hex << raw;
+    }
+  }
+  EXPECT_GT(removed_present, 50u);  // the churn really removed entries
 }
 
 TEST(PayloadRule, AppliesOnlyToItsId) {

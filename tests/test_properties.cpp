@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "car/policy_binding.h"
 #include "car/segmented.h"
@@ -24,6 +25,12 @@ struct NodeMode {
   std::string node;
   car::CarMode mode;
 };
+
+// Printed as "node/mode", so the CTest names gtest_discover_tests builds
+// from GetParam() are stable, not a dump of the struct's bytes.
+void PrintTo(const NodeMode& param, std::ostream* os) {
+  *os << param.node << '/' << car::to_string(param.mode);
+}
 
 class BindingInvariants : public ::testing::TestWithParam<NodeMode> {};
 

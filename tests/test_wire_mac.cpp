@@ -1,6 +1,7 @@
-// Tests for the wire-rate MAC (psme::can::WireMac): the differential
-// oracle pinning batched wire verdicts to per-frame admit() and to the
-// string PolicySet::evaluate reference, J1939 classification, ISO-TP flow
+// Tests for the wire-rate MAC (psme::can::WireMac): the compiled-verdict
+// oracle against scalar image evaluation, the differential oracle pinning
+// batched wire verdicts to per-frame admit() and to the string
+// PolicySet::evaluate reference, J1939 classification, ISO-TP flow
 // adjudication, drop telemetry, the BindingCompiler wire-table
 // equivalence, and the TSan drive of per-bus WireMacs sharing one sealed
 // image.
@@ -653,6 +654,98 @@ TEST(WireTable, DiagFramesPassWhereTheHpeAdmitsThem) {
     }
     EXPECT_EQ(mac.stats().isotp_errors, 0u) << listener.node;
   }
+}
+
+// -- compiled verdicts -------------------------------------------------------
+
+/// The scalar reference for one binding: OR over `subjects` of
+/// image.evaluate(...).allowed, with the table's mode stamped.
+[[nodiscard]] bool scalar_verdict(const core::CompiledPolicyImage& image,
+                                  const WireBindingTable& table,
+                                  const WireBindingTable::Binding& binding,
+                                  std::span<const mac::Sid> subjects) {
+  return std::any_of(subjects.begin(), subjects.end(), [&](mac::Sid subject) {
+    return image
+        .evaluate(core::SidRequest{subject, binding.object, binding.access,
+                                   table.mode_sid()})
+        .allowed;
+  });
+}
+
+TEST(WireMacCompiledVerdicts, EveryBindingMatchesScalarEvaluate) {
+  // The verdicts a WireMac compiles at construction must equal a scalar
+  // image.evaluate() per candidate subject, OR-ed, for every bound id of
+  // every car node x mode table, and for every mapped source address of
+  // a J1939 per-source binding.
+  const core::PolicySet policy = car::full_policy(car::connected_car_threat_model());
+  const auto image = policy.image_ptr();
+  std::size_t allowed = 0;
+  std::size_t denied = 0;
+  const auto check = [&](WireMac& mac, const Frame& frame, bool want) {
+    EXPECT_EQ(mac.admit(frame, sim::SimTime{}), want) << frame.to_string();
+    ++(want ? allowed : denied);
+  };
+
+  for (const car::NodeBinding& node : car::node_bindings()) {
+    for (const car::CarMode mode : car::kAllModes) {
+      car::BindingCompiler compiler(*image);
+      WireMac mac(compiler.build_wire_table(node.node, mode), *image);
+      const WireBindingTable& table = mac.table();
+      for (std::uint32_t id = 0; id <= CanId::kMaxStandard; ++id) {
+        const std::int32_t slot = table.standard_slot(id);
+        if (slot < 0) continue;
+        const WireBindingTable::Binding& binding = table.binding(slot);
+        ASSERT_FALSE(binding.isotp) << node.node << " id 0x" << std::hex << id;
+        check(mac, make_frame(id, {0x01}),
+              scalar_verdict(*image, table, binding, table.subjects_of(binding)));
+      }
+    }
+  }
+  EXPECT_GT(allowed, 0u);
+  EXPECT_GT(denied, 0u);
+
+  // bench_wire_mac's J1939 table: list bindings on a PDU2 and a PDU1
+  // PGN, and a per-source binding over two mapped addresses.
+  allowed = denied = 0;
+  mac::SidTable& sids = *image->sid_table();
+  car::BindingCompiler compiler(*image);
+  WireBindingTable::Builder builder;
+  builder.set_mode(
+      compiler.build_wire_table("engine", car::CarMode::kNormal).mode_sid());
+  const std::array<mac::Sid, 1> engine_ep{sids.intern(car::entry::kEngine)};
+  builder.bind_pgn(0xFEF1, engine_ep, sids.intern(car::asset::kEngine),
+                   core::AccessType::kRead);
+  builder.bind_pgn(0xDA00, engine_ep, sids.intern(car::asset::kEngine),
+                   core::AccessType::kWrite);
+  builder.bind_pgn(0xFECA, {}, sids.intern(car::asset::kSensors),
+                   core::AccessType::kRead);
+  builder.j1939_source(0x10, sids.intern(car::entry::kSensors));
+  builder.j1939_source(0x42, sids.intern(car::entry::kInfotainment));
+  builder.j1939_source(0x77, sids.intern(car::entry::kDoorLocks));
+  WireMac mac(builder.build(), *image);
+  const WireBindingTable& table = mac.table();
+  for (const std::uint32_t raw : {0x18FEF103u, 0x18DA10F1u}) {
+    const WireBindingTable::Binding& binding =
+        table.binding(table.pgn_slot(J1939Id::decompose(raw).pgn));
+    check(mac, Frame(CanId::extended(raw), {}),
+          scalar_verdict(*image, table, binding, table.subjects_of(binding)));
+  }
+  const WireBindingTable::Binding& per_source =
+      table.binding(table.pgn_slot(0xFECA));
+  for (unsigned address = 0; address < 256; ++address) {
+    const mac::Sid subject =
+        table.j1939_subject(static_cast<std::uint8_t>(address));
+    const Frame frame(CanId::extended(0x18FECA00u | address), {});
+    if (subject == mac::kNullSid) {
+      EXPECT_FALSE(mac.admit(frame, sim::SimTime{})) << frame.to_string();
+      continue;
+    }
+    const std::array<mac::Sid, 1> one{subject};
+    check(mac, frame, scalar_verdict(*image, table, per_source, one));
+  }
+  EXPECT_EQ(mac.stats().unbound, 253u);
+  EXPECT_GT(allowed, 0u);
+  EXPECT_GT(denied, 0u);
 }
 
 // -- concurrency (run under TSan in the wire-mac CI leg) --------------------
